@@ -45,8 +45,14 @@ class DanglingTargetWarning(UserWarning):
 def _check_weight(node, neighbor, weight):
     if isinstance(weight, bool) or not isinstance(weight, (int, float)):
         return f"edge {node!r} -> {neighbor!r}: weight must be a number, got {weight!r}"
-    if not math.isfinite(weight):
-        return f"edge {node!r} -> {neighbor!r}: weight must be finite, got {weight!r}"
+    try:
+        if not math.isfinite(weight):
+            return f"edge {node!r} -> {neighbor!r}: weight must be finite, got {weight!r}"
+    except OverflowError:  # an int past binary64 range; too long to quote
+        return (
+            f"edge {node!r} -> {neighbor!r}: weight must be finite, "
+            f"got a {weight.bit_length()}-bit integer"
+        )
     if weight < 0:
         return f"edge {node!r} -> {neighbor!r}: negative weight {weight!r}"
     return None
@@ -61,7 +67,7 @@ def parse_graph(text: str) -> dict:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past int_max_str_digits
         raise GraphParseError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphParseError(

@@ -9,6 +9,11 @@ from IEEE +inf only in representation, never in the answers a search computes:
 
 ExtendedWeight instances also interoperate with plain numbers in comparisons
 and ``+``, so the sentinel can sit in a distance table next to raw floats.
+A search loop calls ``<`` and ``>`` against a plain float or ``INFINITY``
+and the sentinel's ``+`` with a number tens of thousands of times per query,
+so those operators try these exact operand types before the general path's
+coercion and type dispatch; each fast branch returns what the general path
+returns, NaN operands included.
 """
 
 import enum
@@ -65,9 +70,10 @@ class ExtendedWeight:
         if value is None:
             self._value = None
             return
-        if not isinstance(value, (int, float)):
-            raise TypeError(f"weight must be a real number, got {type(value).__name__}")
-        value = float(value)
+        if type(value) is not float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"weight must be a real number, got {type(value).__name__}")
+            value = float(value)
         if math.isnan(value):
             raise ValueError("weight cannot be NaN")
         if math.isinf(value):
@@ -98,7 +104,13 @@ class ExtendedWeight:
         return format_weight(self)
 
     # Comparisons against NaN mirror IEEE floats (always False, never an error).
+    # The fast branches of __lt__ and __gt__ are float expressions that are
+    # already false on NaN; see the module docstring for why they exist.
     def __lt__(self, other):
+        if type(other) is float:
+            return self._value is not None and self._value < other
+        if other is INFINITY:
+            return self._value is not None
         o = _as_binary64(other)
         if o is None:
             return NotImplemented
@@ -119,6 +131,10 @@ class ExtendedWeight:
         return self._value <= o
 
     def __gt__(self, other):
+        if type(other) is float:
+            return other < math.inf if self._value is None else self._value > other
+        if other is INFINITY:
+            return False
         o = _as_binary64(other)
         if o is None:
             return NotImplemented
@@ -152,6 +168,10 @@ class ExtendedWeight:
         return hash(math.inf) if self._value is None else hash(self._value)
 
     def __add__(self, other):
+        if self._value is None and (
+            type(other) is int or (type(other) is float and other == other)
+        ):
+            return INFINITY
         if isinstance(other, ExtendedWeight):
             return add(self, other)
         if not isinstance(other, (int, float)) or math.isnan(other):
@@ -210,9 +230,10 @@ def to_binary64(a: ExtendedWeight) -> float:
 
 def from_binary64(x) -> ExtendedWeight:
     """Inverse of to_binary64 on non-negative, non-NaN input."""
-    if not isinstance(x, (int, float)):
-        raise TypeError(f"expected a real number, got {type(x).__name__}")
-    x = float(x)
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"expected a real number, got {type(x).__name__}")
+        x = float(x)
     if math.isnan(x):
         raise ValueError("NaN is not a weight")
     if x < 0:

@@ -54,6 +54,14 @@ class TestParse:
         with pytest.raises(GraphParseError, match=r"'A' -> 'B'"):
             parse_graph('{"A":{"B":%s},"B":{}}' % weight)
 
+    def test_integer_past_binary64_range_named(self):
+        with pytest.raises(GraphParseError, match=r"'A' -> 'B': weight must be finite"):
+            parse_graph('{"A":{"B":1%s},"B":{}}' % ("0" * 400))
+
+    def test_integer_past_int_digit_limit_rejected(self):
+        with pytest.raises(GraphParseError):
+            parse_graph('{"A":{"B":1%s},"B":{}}' % ("0" * 5000))
+
     def test_dangling_target_added_with_warning(self):
         with pytest.warns(DanglingTargetWarning, match="'B'"):
             graph = parse_graph('{"A":{"B":2}}')
@@ -108,6 +116,11 @@ class TestValidate:
     def test_negative_weight(self):
         violations = validate({"A": {"B": -3}, "B": {}})
         assert len(violations) == 1 and "negative" in violations[0]
+
+    def test_integer_past_binary64_range(self):
+        assert validate({"A": {"B": 10**400}, "B": {}}) == [
+            "edge 'A' -> 'B': weight must be finite, got a 1329-bit integer"
+        ]
 
     def test_multiple_violations_reported_separately(self):
         violations = validate({"A": {"B": -3, "C": 1}, "B": {}})

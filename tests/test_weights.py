@@ -1,7 +1,10 @@
 """Extended-weight domain: ordering, addition, binary64 mapping, rendering."""
 
+import itertools
 import math
+import operator
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +143,13 @@ class TestConstruction:
         with pytest.raises(TypeError):
             finite("3")
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bools_are_not_weights(self, flag):
+        with pytest.raises(TypeError):
+            finite(flag)
+        with pytest.raises(TypeError):
+            from_binary64(flag)
+
     def test_value_of_infinity_raises(self):
         with pytest.raises(ValueError):
             INFINITY.value
@@ -170,6 +180,7 @@ class TestNumberInterop:
         assert INFINITY + 7 is INFINITY
         assert 7 + INFINITY is INFINITY
         assert INFINITY + (-5) is INFINITY
+        assert INFINITY + 10**400 is INFINITY
 
     def test_finite_plus_number(self):
         assert finite(2) + 3 == finite(5)
@@ -192,6 +203,91 @@ class TestNumberInterop:
     def test_min_over_mixed_values(self):
         assert min([INFINITY, 3.0, 7.0]) == 3.0
         assert min([INFINITY, INFINITY]) is INFINITY
+
+
+_COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+_NON_NUMBERS = ("3", None, (1.0,))
+_TINY = 5e-324  # the smallest subnormal
+_MAX = sys.float_info.max
+
+# Left operands: the two kinds of weight.  Right operands: everything the
+# operators accept or must refuse, edge values of each kind first.
+_EDGE_WEIGHTS = (INFINITY, finite(0.0), finite(_TINY), finite(1.0), finite(_MAX))
+_EDGE_OPERANDS = (
+    (math.nan, 0.0, -0.0, math.inf, -math.inf, _TINY, -_TINY, 1.0, -1.0, _MAX)
+    + (0, 1, -1, 2**53 + 1, 10**300)
+    + (INFINITY, ExtendedWeight(), finite(0), finite(1.0), finite(_MAX))
+    + _NON_NUMBERS
+)
+_operands = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.integers(-(2**1000), 2**1000),
+    extended_weights,
+    st.sampled_from(_NON_NUMBERS),
+)
+
+
+def _image(x):
+    """Binary64 image of an operand, None for a non-number."""
+    if isinstance(x, ExtendedWeight):
+        return to_binary64(x)
+    if isinstance(x, (int, float)):
+        return float(x)
+    return None
+
+
+def _expected_sum(w, v):
+    """w + v by the contract; None when the sum must raise TypeError."""
+    image = _image(v)
+    if image is None or math.isnan(image):
+        return None
+    if w.is_infinite:
+        return INFINITY
+    if image < 0:
+        return None
+    total = w.value + image
+    return INFINITY if math.isinf(total) else finite(total)
+
+
+def _check_operators(w, v):
+    """Every operator between weight w and operand v, in both orders."""
+    a, b = _image(w), _image(v)
+    for op in _COMPARISONS:
+        for (x, y), (ix, iy) in (((w, v), (a, b)), ((v, w), (b, a))):
+            if b is not None:
+                assert op(x, y) is op(ix, iy), (op.__name__, x, y)
+            elif op in (operator.eq, operator.ne):
+                assert op(x, y) is (op is operator.ne), (op.__name__, x, y)
+            else:
+                with pytest.raises(TypeError):
+                    op(x, y)
+    expected = _expected_sum(w, v)
+    for x, y in ((w, v), (v, w)):
+        if expected is None:
+            with pytest.raises(TypeError):
+                x + y
+        elif expected.is_infinite:
+            assert x + y is INFINITY, (x, y)
+        else:
+            total = x + y
+            assert type(total) is ExtendedWeight and total == expected, (x, y)
+
+
+class TestOperatorSemantics:
+    """Operators on weights agree with IEEE arithmetic on binary64 images.
+
+    The sentinel's operators take a fast path on plain floats, on the INFINITY
+    singleton and on int addends; these tests pin every path to the contract.
+    """
+
+    def test_edge_operands(self):
+        for w, v in itertools.product(_EDGE_WEIGHTS, _EDGE_OPERANDS):
+            _check_operators(w, v)
+
+    @given(extended_weights, _operands)
+    @settings(max_examples=300)
+    def test_matches_binary64(self, w, v):
+        _check_operators(w, v)
 
 
 class TestRendering:
