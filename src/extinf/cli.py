@@ -9,6 +9,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -230,18 +231,40 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _column(path, rows, index) -> list:
+    """Cell `index` of every (line number, row) pair as a float; a short row
+    or a cell that is not a finite number is an error naming the file and line."""
+    values = []
+    for line, row in rows:
+        if index >= len(row):
+            raise ValueError(f"{path}, line {line}: no column {index + 1} in {row!r}")
+        try:
+            value = float(row[index])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}, line {line}: not a finite number: {row[index]!r}")
+        values.append(value)
+    return values
+
+
 def _load_samples(path) -> stats.SampleSet:
     """Samples from a CSV file: a timing CSV (per_iteration column), a CSV
     with a `value` column, or a headerless single column of numbers."""
     with open(path, encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
+        reader = csv.reader(handle)
+        rows = [
+            (reader.line_num, row)
+            for row in reader
+            if row and any(cell.strip() for cell in row)
+        ]
     if not rows:
         raise ValueError(f"no samples in {path}")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     for column in ("per_iteration", "value"):
         if column in header:
             index = header.index(column)
-            values = [float(row[index]) for row in rows[1:]]
+            values = _column(path, rows[1:], index)
             break
     else:
         try:
@@ -251,7 +274,7 @@ def _load_samples(path) -> stats.SampleSet:
                 f"cannot interpret {path}: expected a per_iteration/value column "
                 "or a headerless column of numbers"
             ) from None
-        values = [float(row[0]) for row in rows]
+        values = _column(path, rows, 0)
     if not values:
         raise ValueError(f"no samples in {path}")
     return stats.SampleSet(tuple(values), label=os.path.basename(path))

@@ -126,7 +126,13 @@ class GeneratorSpec:
                     f"got {len(self.weights)}"
                 )
             for w in self.weights:
-                if not isinstance(w, (int, float)) or not math.isfinite(w) or w < 0:
+                try:
+                    bad = not isinstance(w, (int, float)) or not math.isfinite(w) or w < 0
+                except OverflowError:  # an int past binary64 range; too long to quote
+                    raise ValueError(
+                        f"bad explicit weight: a {w.bit_length()}-bit integer is not finite"
+                    ) from None
+                if bad:
                     raise ValueError(f"bad explicit weight: {w!r}")
 
 

@@ -7,10 +7,17 @@ key of the map; nodes without outgoing edges map to an empty object.
 The on-disk format is the JSON transliteration of that structure.  Emission is
 canonical (keys sorted, integral weights written as integers) so equal graphs
 always serialize to identical bytes.
+
+``parse_graph`` and ``validate`` check every edge weight, so both loops first
+try one inline test that accepts a plain ``float`` or ``int`` in range without
+a function call; it accepts only weights that ``_check_weight`` accepts, and
+every other weight goes to ``_check_weight``, which words the error.
 """
 
+import itertools
 import json
 import math
+import sys
 import warnings
 
 from .weights import canonical_number
@@ -42,6 +49,11 @@ class DanglingTargetWarning(UserWarning):
     """An edge target that was missing from the key set and got auto-added."""
 
 
+# Largest int whose conversion to binary64 is exact and finite; larger ints,
+# even the few that still round to a finite float, go to _check_weight.
+_MAX_INT = int(sys.float_info.max)
+
+
 def _check_weight(node, neighbor, weight):
     if isinstance(weight, bool) or not isinstance(weight, (int, float)):
         return f"edge {node!r} -> {neighbor!r}: weight must be a number, got {weight!r}"
@@ -67,26 +79,28 @@ def parse_graph(text: str) -> dict:
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int literal past int_max_str_digits
+    # JSONDecodeError, an int literal past int_max_str_digits, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise GraphParseError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphParseError(
             f"graph document must be a JSON object, got {type(doc).__name__}"
         )
-    graph = {}
     for node, neighbors in doc.items():
         if not isinstance(neighbors, dict):
             raise GraphParseError(
                 f"adjacency of node {node!r} must be an object, got {type(neighbors).__name__}"
             )
-        for neighbor, weight in neighbors.items():
-            problem = _check_weight(node, neighbor, weight)
-            if problem is not None:
-                raise GraphParseError(problem)
-        graph[node] = dict(neighbors)
-    dangling = sorted(
-        {target for neighbors in graph.values() for target in neighbors} - graph.keys()
-    )
+        for neighbor, w in neighbors.items():
+            if not (
+                (type(w) is float and 0.0 <= w < math.inf)
+                or (type(w) is int and 0 <= w <= _MAX_INT)
+            ):
+                problem = _check_weight(node, neighbor, w)
+                if problem is not None:
+                    raise GraphParseError(problem)
+    graph = doc  # json.loads built every dict afresh, so the graph owns them
+    dangling = sorted(set(itertools.chain.from_iterable(graph.values())) - graph.keys())
     if dangling:
         for target in dangling:
             graph[target] = {}
@@ -121,7 +135,7 @@ def validate(graph: dict) -> list:
                 f"adjacency of node {node!r} must be a dict, got {type(neighbors).__name__}"
             )
             continue
-        for neighbor, weight in neighbors.items():
+        for neighbor, w in neighbors.items():
             if not isinstance(neighbor, str):
                 violations.append(
                     f"edge target of node {node!r} must be a string, got {neighbor!r}"
@@ -130,9 +144,13 @@ def validate(graph: dict) -> list:
                 violations.append(
                     f"edge {node!r} -> {neighbor!r}: target is not a node of the graph"
                 )
-            problem = _check_weight(node, neighbor, weight)
-            if problem is not None:
-                violations.append(problem)
+            if not (
+                (type(w) is float and 0.0 <= w < math.inf)
+                or (type(w) is int and 0 <= w <= _MAX_INT)
+            ):
+                problem = _check_weight(node, neighbor, w)
+                if problem is not None:
+                    violations.append(problem)
     return violations
 
 

@@ -45,12 +45,21 @@ class Ordering(enum.Enum):
     GREATER = 1
 
 
+def _float(x) -> float:
+    """float(x) for an int or float; an int past binary64 range rounds to
+    +-inf, as IEEE round-to-nearest does, instead of raising OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _as_binary64(operand):
     """The binary64 image of a comparison operand, or None if not numeric."""
     if isinstance(operand, ExtendedWeight):
         return math.inf if operand._value is None else operand._value
     if isinstance(operand, (int, float)):
-        return float(operand)
+        return _float(operand)
     return None
 
 
@@ -73,7 +82,7 @@ class ExtendedWeight:
         if type(value) is not float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError(f"weight must be a real number, got {type(value).__name__}")
-            value = float(value)
+            value = _float(value)
         if math.isnan(value):
             raise ValueError("weight cannot be NaN")
         if math.isinf(value):
@@ -172,17 +181,14 @@ class ExtendedWeight:
             type(other) is int or (type(other) is float and other == other)
         ):
             return INFINITY
-        if isinstance(other, ExtendedWeight):
-            return add(self, other)
-        if not isinstance(other, (int, float)) or math.isnan(other):
+        o = _as_binary64(other)
+        if o is None or math.isnan(o):
             return NotImplemented
         if self._value is None:
             return INFINITY
-        if other < 0:
+        if o < 0:
             return NotImplemented
-        if math.isinf(other):
-            return INFINITY
-        total = self._value + other
+        total = self._value + o
         return INFINITY if math.isinf(total) else ExtendedWeight(total)
 
     __radd__ = __add__
@@ -233,7 +239,7 @@ def from_binary64(x) -> ExtendedWeight:
     if type(x) is not float:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise TypeError(f"expected a real number, got {type(x).__name__}")
-        x = float(x)
+        x = _float(x)
     if math.isnan(x):
         raise ValueError("NaN is not a weight")
     if x < 0:

@@ -72,6 +72,14 @@ class TestGen:
         assert code == 2
         assert "EXTINF_BENCH_SEED" in err
 
+    def test_explicit_weight_past_binary64_range(self, capsys):
+        code, _, err = run_cli(
+            capsys, "gen", "--kind", "linear_chain", "--nodes", "2",
+            "--weights", "1" + "0" * 400,
+        )
+        assert code == 2
+        assert "bad explicit weight: a 1329-bit integer" in err
+
     def test_bad_weight_range_syntax(self, capsys):
         code, _, err = run_cli(
             capsys, "gen", "--kind", "star", "--nodes", "4", "--weight-range", "wide"
@@ -262,6 +270,25 @@ class TestTtest:
         code, _, err = run_cli(capsys, "ttest", str(bad), str(ok))
         assert code == 1
         assert "cannot interpret" in err
+
+    def test_ragged_timing_csv_names_file_and_line(self, capsys, tmp_path):
+        ragged = tmp_path / "rag.csv"
+        ragged.write_text("x,per_iteration\n1,0.1\n0.2\n")
+        ok = tmp_path / "ok.csv"
+        self._write_samples(ok, [1, 2])
+        code, _, err = run_cli(capsys, "ttest", str(ok), str(ragged))
+        assert code == 1
+        assert f"{ragged}, line 3: no column 2" in err
+
+    @pytest.mark.parametrize("cell", ["fast", "nan", "-inf"])
+    def test_bad_cell_names_file_and_line(self, capsys, tmp_path, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"1.0\n\n2.0\n{cell}\n")
+        ok = tmp_path / "ok.csv"
+        self._write_samples(ok, [1, 2])
+        code, _, err = run_cli(capsys, "ttest", str(bad), str(ok))
+        assert code == 1
+        assert f"{bad}, line 4: not a finite number: {cell!r}" in err
 
 
 class TestFixturesCmd:

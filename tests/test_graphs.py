@@ -1,12 +1,19 @@
 """Graph model, JSON format, validation, and the bundled fixtures."""
 
+import enum
 import json
+import math
+import sys
+import types
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_graphs
+from extinf import graphs
 from extinf.fixtures import (
     CATEGORY_FIXTURES,
     FIXTURE_NAMES,
@@ -18,6 +25,7 @@ from extinf.fixtures import (
 from extinf.graphs import (
     DanglingTargetWarning,
     GraphParseError,
+    _check_weight,
     count_edges,
     emit_graph,
     parse_graph,
@@ -131,6 +139,135 @@ class TestValidate:
 
     def test_non_string_node(self):
         assert validate({1: {}}) != []
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+class _Float(float):
+    def __repr__(self):
+        return f"_Float({float(self)!r})"
+
+
+_MAX_INT = int(sys.float_info.max)
+# Weights on and around every edge of the inline test that parse_graph and
+# validate run before _check_weight, and values of the types it must refuse.
+_EDGE_WEIGHTS = (
+    (0.0, -0.0, 5e-324, -5e-324, 1.5, -1.0, sys.float_info.max)
+    + (math.inf, -math.inf, math.nan)
+    + (0, 1, -1, _MAX_INT, _MAX_INT + 1)
+    + (2**1024 - 2**970 - 1, 2**1024 - 2**970, 10**400, -(10**400))
+    + (True, False, _Level.ONE, _Float(-1.0), _Float(2.0), "2", None)
+)
+_weights = st.one_of(
+    st.sampled_from(_EDGE_WEIGHTS),
+    st.floats(allow_subnormal=True),
+    st.integers(-(2**1100), 2**1100),
+)
+
+
+def _weight_id(w):
+    text = repr(w)
+    return text if len(text) <= 24 else f"{text[:8]}...{text[-8:]}"
+
+
+def _star(weights):
+    """Node A with one edge per weight, to B0, B1, ..., each a node."""
+    graph = {"A": {f"B{i}": w for i, w in enumerate(weights)}}
+    graph.update((f"B{i}", {}) for i in range(len(weights)))
+    return graph
+
+
+def _reference(weights):
+    """What the checks must report: _check_weight on every edge, in order."""
+    problems = (_check_weight("A", f"B{i}", w) for i, w in enumerate(weights))
+    return [problem for problem in problems if problem is not None]
+
+
+def _assert_parse_matches(text, weights):
+    expected = _reference(weights)
+    if expected:
+        with pytest.raises(GraphParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == expected[0]
+    else:
+        parsed = list(parse_graph(text)["A"].values())
+        assert all(p is w or (type(p), p) == (type(w), w) for p, w in zip(parsed, weights))
+
+
+def _check_against_reference(weights):
+    assert validate(_star(weights)) == _reference(weights)
+    # parse_graph on the weight objects themselves, subclasses included ...
+    decoder = types.SimpleNamespace(loads=lambda text: _star(weights))
+    with mock.patch.object(graphs, "json", decoder):
+        _assert_parse_matches("", weights)
+    # ... and on the JSON text of the same star.
+    text = json.dumps(_star(weights))
+    _assert_parse_matches(text, list(json.loads(text)["A"].values()))
+
+
+class TestWeightChecks:
+    """parse_graph and validate accept a plain weight inline and hand every
+    other weight to _check_weight; both must agree with _check_weight alone."""
+
+    @pytest.mark.parametrize("weight", _EDGE_WEIGHTS, ids=_weight_id)
+    def test_edge_weights(self, weight):
+        _check_against_reference([weight])
+        _check_against_reference([1, weight, 2.5])
+
+    @given(st.lists(_weights, max_size=6))
+    @settings(max_examples=300)
+    def test_matches_check_weight(self, weights):
+        _check_against_reference(weights)
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.floats(allow_subnormal=True)
+    | st.integers(-(2**1100), 2**1100)
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=2), children, max_size=3),
+    max_leaves=10,
+)
+_graph_documents = st.dictionaries(
+    st.text(max_size=2),
+    st.dictionaries(st.text(max_size=2), _json_values, max_size=4) | _json_values,
+    max_size=4,
+)
+
+
+@st.composite
+def _json_ish_texts(draw):
+    """Graph documents, other JSON values or any text, with one slice of
+    characters replaced by up to three arbitrary ones."""
+    documents = st.one_of(_graph_documents, _json_values).map(json.dumps)
+    text = draw(st.one_of(documents, st.text()))
+    start = draw(st.integers(0, len(text)))
+    end = draw(st.integers(start, len(text)))
+    return text[:start] + draw(st.text(max_size=3)) + text[end:]
+
+
+class TestParseFuzzed:
+    """Any text yields a valid graph or GraphParseError, nothing else."""
+
+    @given(_json_ish_texts())
+    @settings(max_examples=300)
+    def test_valid_graph_or_parse_error(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DanglingTargetWarning)
+            try:
+                graph = parse_graph(text)
+            except GraphParseError:
+                return
+        assert validate(graph) == []
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"A":' * 100_000], ids=["list", "object"])
+    def test_nesting_too_deep(self, text):
+        with pytest.raises(GraphParseError, match="malformed JSON"):
+            parse_graph(text)
 
 
 class TestFixtures:

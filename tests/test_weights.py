@@ -128,13 +128,24 @@ class TestBinary64:
         with pytest.raises(ValueError):
             from_binary64(-1.0)
 
+    def test_int_past_binary64_range_rounds_to_infinity(self):
+        assert from_binary64(10**400) is INFINITY
+        assert from_binary64(2**1024 - 2**970) is INFINITY
+        assert from_binary64(2**1024 - 2**970 - 1) == finite(_MAX)
+        with pytest.raises(ValueError):
+            from_binary64(-(10**400))
+
     @given(extended_weights)
     def test_round_trip(self, w):
         assert from_binary64(to_binary64(w)) == w
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("bad", [-1, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "bad",
+        [-1, -0.5, math.nan, math.inf]
+        + [pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
+    )
     def test_finite_rejects_out_of_domain(self, bad):
         with pytest.raises(ValueError):
             finite(bad)
@@ -216,12 +227,13 @@ _EDGE_WEIGHTS = (INFINITY, finite(0.0), finite(_TINY), finite(1.0), finite(_MAX)
 _EDGE_OPERANDS = (
     (math.nan, 0.0, -0.0, math.inf, -math.inf, _TINY, -_TINY, 1.0, -1.0, _MAX)
     + (0, 1, -1, 2**53 + 1, 10**300)
+    + (2**1024 - 2**970 - 1, 2**1024 - 2**970, 10**400, -(10**400))
     + (INFINITY, ExtendedWeight(), finite(0), finite(1.0), finite(_MAX))
     + _NON_NUMBERS
 )
 _operands = st.one_of(
     st.floats(allow_subnormal=True),
-    st.integers(-(2**1000), 2**1000),
+    st.integers(-(2**1100), 2**1100),
     extended_weights,
     st.sampled_from(_NON_NUMBERS),
 )
@@ -232,7 +244,10 @@ def _image(x):
     if isinstance(x, ExtendedWeight):
         return to_binary64(x)
     if isinstance(x, (int, float)):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:  # an int past binary64 range rounds to +-inf
+            return math.inf if x > 0 else -math.inf
     return None
 
 
