@@ -22,11 +22,13 @@ data differently, reports print both, labelled.
 import csv
 import io
 import time
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 
 from .shortest_path import (
     IEEE_BASELINE,
     SENTINEL,
+    UnknownNodeError,
     dijkstra,
     get_domain,
     linear_scan_distances,
@@ -151,9 +153,11 @@ def schedule(graph_ids, repetitions: int) -> list:
 def run_comparison(entries, iterations: int = 50_000, repetitions: int = 2, alpha: float = 0.01):
     """Run the paired protocol over (graph_id, graph, source) triples.
 
-    Returns (rows, report): one ComparisonRow per graph from per-graph mean
-    elapsed times, and a WelchReport over the pooled per-iteration times with
-    arm A = sentinel, arm B = baseline (alternative: A is faster).
+    Timing follows schedule(), after every source has been checked, so an
+    unknown source fails before anything is timed.  Returns (rows, report):
+    one ComparisonRow per entry, in input order, from per-graph mean elapsed
+    times, and a WelchReport over the pooled per-iteration times with arm A =
+    sentinel, arm B = baseline (alternative: A is faster).
     """
     entries = list(entries)
     if not entries:
@@ -162,25 +166,28 @@ def run_comparison(entries, iterations: int = 50_000, repetitions: int = 2, alph
         raise ValueError(f"repetitions must be at least 1, got {repetitions!r}")
     if len(entries) * repetitions < 2:
         raise ValueError("need at least two samples per arm overall")
-    baseline_pool = []
-    sentinel_pool = []
-    rows = []
     for graph_id, graph, source in entries:
-        baseline_elapsed = []
-        sentinel_elapsed = []
-        for _ in range(repetitions):
-            sample = time_dijkstra(graph, source, IEEE_BASELINE, iterations, graph_id=graph_id)
-            baseline_elapsed.append(sample.elapsed)
-            baseline_pool.append(sample.per_iteration)
-            sample = time_dijkstra(graph, source, SENTINEL, iterations, graph_id=graph_id)
-            sentinel_elapsed.append(sample.elapsed)
-            sentinel_pool.append(sample.per_iteration)
-        rows.append(
-            ComparisonRow.from_means(graph_id, mean(baseline_elapsed), mean(sentinel_elapsed))
+        if source not in graph:
+            raise UnknownNodeError(f"unknown source node {source!r} in graph {graph_id!r}")
+    # Indices, not graph ids, key the samples: ids may repeat.
+    elapsed = defaultdict(list)  # (entry index, arm) -> elapsed per repetition
+    pools = defaultdict(list)  # arm -> per-iteration times over every graph
+    for index, arm in schedule(range(len(entries)), repetitions):
+        graph_id, graph, source = entries[index]
+        sample = time_dijkstra(graph, source, arm, iterations, graph_id=graph_id)
+        elapsed[index, arm].append(sample.elapsed)
+        pools[arm].append(sample.per_iteration)
+    rows = [
+        ComparisonRow.from_means(
+            graph_id,
+            mean(elapsed[index, IEEE_BASELINE.name]),
+            mean(elapsed[index, SENTINEL.name]),
         )
+        for index, (graph_id, _, _) in enumerate(entries)
+    ]
     report = welch_test(
-        SampleSet(tuple(sentinel_pool), label=SENTINEL.name),
-        SampleSet(tuple(baseline_pool), label=IEEE_BASELINE.name),
+        SampleSet(tuple(pools[SENTINEL.name]), label=SENTINEL.name),
+        SampleSet(tuple(pools[IEEE_BASELINE.name]), label=IEEE_BASELINE.name),
         alpha=alpha,
     )
     return rows, report

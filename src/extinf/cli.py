@@ -15,7 +15,7 @@ import sys
 
 from . import bench, generators, graphs, stats
 from .fixtures import FIXTURE_NAMES, ROAD_ROUTES, fixture, primary_fixture_names
-from .shortest_path import DOMAINS, SENTINEL, UnknownNodeError
+from .shortest_path import DOMAINS, SENTINEL
 
 SEED_ENV_VAR = "EXTINF_BENCH_SEED"
 
@@ -191,10 +191,6 @@ def _compare_entries(args):
     resolved = []
     for graph_id, graph in entries:
         source = args.source if args.source is not None else _default_source(graph, graph_id)
-        if source not in graph:
-            raise UnknownNodeError(
-                f"unknown source node {source!r} in graph {graph_id!r}"
-            )
         resolved.append((graph_id, graph, source))
     return resolved
 
@@ -251,13 +247,16 @@ def _column(path, rows, index) -> list:
 def _load_samples(path) -> stats.SampleSet:
     """Samples from a CSV file: a timing CSV (per_iteration column), a CSV
     with a `value` column, or a headerless single column of numbers."""
-    with open(path, encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        rows = [
-            (reader.line_num, row)
-            for row in reader
-            if row and any(cell.strip() for cell in row)
-        ]
+    try:
+        with open(path, encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            rows = [
+                (reader.line_num, row)
+                for row in reader
+                if row and any(cell.strip() for cell in row)
+            ]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"no samples in {path}")
     header = [cell.strip() for cell in rows[0][1]]
@@ -277,15 +276,19 @@ def _load_samples(path) -> stats.SampleSet:
         values = _column(path, rows, 0)
     if not values:
         raise ValueError(f"no samples in {path}")
+    if len(values) < 2:
+        raise ValueError(f"{path}: ttest needs at least two samples per file, got 1")
     return stats.SampleSet(tuple(values), label=os.path.basename(path))
 
 
 def cmd_ttest(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise _UsageError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
-    report = stats.welch_test(
-        _load_samples(args.samples_a), _load_samples(args.samples_b), alpha=args.alpha
-    )
+    samples_a, samples_b = _load_samples(args.samples_a), _load_samples(args.samples_b)
+    try:
+        report = stats.welch_test(samples_a, samples_b, alpha=args.alpha)
+    except (ValueError, ArithmeticError) as exc:  # e.g. samples that overflow a sum
+        raise ValueError(f"{args.samples_a} vs {args.samples_b}: {exc}") from None
     if args.format == "json":
         print(json.dumps(report.to_jsonable(), indent=2))
     else:

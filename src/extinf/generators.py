@@ -106,7 +106,7 @@ class GeneratorSpec:
                 f"grid node_count must be a perfect square, got {self.node_count}"
             )
         lo, hi = self.weight_range
-        if not isinstance(lo, int) or not isinstance(hi, int):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (lo, hi)):
             raise ValueError(f"weight_range must be integers, got {self.weight_range!r}")
         floor = 0 if self.kind == "equal_weights" else 1
         if lo < floor or hi < lo:
@@ -127,7 +127,12 @@ class GeneratorSpec:
                 )
             for w in self.weights:
                 try:
-                    bad = not isinstance(w, (int, float)) or not math.isfinite(w) or w < 0
+                    bad = (
+                        isinstance(w, bool)
+                        or not isinstance(w, (int, float))
+                        or not math.isfinite(w)
+                        or w < 0
+                    )
                 except OverflowError:  # an int past binary64 range; too long to quote
                     raise ValueError(
                         f"bad explicit weight: a {w.bit_length()}-bit integer is not finite"

@@ -14,14 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import InvalidGraphError, validate
-from .weights import (
-    INFINITY,
-    ExtendedWeight,
-    Ordering,
-    canonical_number,
-    from_binary64,
-    parse_weight,
-)
+from .weights import INFINITY, canonical_number, from_binary64, parse_weight
 
 __all__ = [
     "DOMAINS",
@@ -44,31 +37,16 @@ class UnknownNodeError(LookupError):
 
 @dataclass(frozen=True)
 class WeightDomain:
-    """An infinity representation plus conversions to the public weight type.
+    """An infinity representation, named for reports.
 
-    Comparison and addition are the host operators in both domains; the
-    sentinel participates through its own operator overloads, IEEE infinity
-    through ordinary float arithmetic.
+    The two domains differ only in this value.  Comparison and addition are
+    the host operators in both: IEEE infinity through ordinary float
+    arithmetic, the sentinel through its own operator overloads, which agree
+    with IEEE arithmetic on binary64 images.
     """
 
     name: str
     infinity: object
-
-    def compare(self, a, b) -> Ordering:
-        if a < b:
-            return Ordering.LESS
-        if b < a:
-            return Ordering.GREATER
-        return Ordering.EQUAL
-
-    def add(self, a, b):
-        return a + b
-
-    def to_extended(self, v) -> ExtendedWeight:
-        return v if isinstance(v, ExtendedWeight) else from_binary64(v)
-
-    def from_extended(self, w: ExtendedWeight):
-        return self.infinity if w.is_infinite else w.value
 
 
 IEEE_BASELINE = WeightDomain("ieee_baseline", math.inf)
@@ -120,7 +98,7 @@ def dijkstra(graph: dict, source: str, domain=SENTINEL) -> dict:
     if source not in graph:
         raise UnknownNodeError(f"unknown source node: {source!r}")
     raw = linear_scan_distances(graph, source, domain.infinity)
-    return {node: domain.to_extended(value) for node, value in raw.items()}
+    return {node: v if v is INFINITY else from_binary64(v) for node, v in raw.items()}
 
 
 def bellman_ford(graph: dict, source: str) -> dict:

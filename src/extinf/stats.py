@@ -181,15 +181,13 @@ class WelchReport:
         return f"{decision} at alpha={self.alpha:g} (p={self.p_one_tailed:.6g})"
 
 
-def welch_test(a, b, alpha: float = 0.01, alternative: str = "mean_a_less") -> WelchReport:
+def welch_test(a, b, alpha: float = 0.01) -> WelchReport:
     """One-tailed Welch's t-test of "mean of A is below mean of B".
 
     Needs at least two samples per side and a nonzero variance somewhere;
     two zero-variance sides raise DegenerateSamplesError rather than
     pretending certainty.
     """
-    if alternative != "mean_a_less":
-        raise ValueError(f"unsupported alternative: {alternative!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     values_a = _values(a)

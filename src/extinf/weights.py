@@ -3,9 +3,11 @@
 The sentinel ``INFINITY`` compares greater than every finite cost and absorbs
 addition, which is everything a shortest-path search asks of its "unreached"
 marker.  Finite costs are ordinary binary64 values, so the sentinel differs
-from IEEE +inf only in representation, never in the answers a search computes:
-``compare(a, b)`` always agrees with the IEEE comparison of the two operands'
-``to_binary64`` images.
+from IEEE +inf only in representation, never in the answers a search computes.
+The ordering is written once, as IEEE arithmetic on binary64 images: ``compare``
+and every comparison operator compare the operands' ``to_binary64`` images,
+and ``add`` maps the images' sum back through ``from_binary64``, so a finite
+sum that overflows saturates to the sentinel.
 
 ExtendedWeight instances also interoperate with plain numbers in comparisons
 and ``+``, so the sentinel can sit in a distance table next to raw floats.
@@ -112,32 +114,20 @@ class ExtendedWeight:
     def __str__(self):
         return format_weight(self)
 
-    # Comparisons against NaN mirror IEEE floats (always False, never an error).
-    # The fast branches of __lt__ and __gt__ are float expressions that are
-    # already false on NaN; see the module docstring for why they exist.
+    # IEEE comparison of binary64 images already makes NaN compare false and
+    # the sentinel (+inf) dominate.  The fast branches of __lt__, __gt__ and
+    # __add__ are float expressions that agree with it, NaN included.
     def __lt__(self, other):
         if type(other) is float:
             return self._value is not None and self._value < other
         if other is INFINITY:
             return self._value is not None
         o = _as_binary64(other)
-        if o is None:
-            return NotImplemented
-        if math.isnan(o):
-            return False
-        if self._value is None:
-            return False
-        return self._value < o
+        return NotImplemented if o is None else _as_binary64(self) < o
 
     def __le__(self, other):
         o = _as_binary64(other)
-        if o is None:
-            return NotImplemented
-        if math.isnan(o):
-            return False
-        if self._value is None:
-            return o == math.inf
-        return self._value <= o
+        return NotImplemented if o is None else _as_binary64(self) <= o
 
     def __gt__(self, other):
         if type(other) is float:
@@ -145,36 +135,18 @@ class ExtendedWeight:
         if other is INFINITY:
             return False
         o = _as_binary64(other)
-        if o is None:
-            return NotImplemented
-        if math.isnan(o):
-            return False
-        if self._value is None:
-            return o != math.inf
-        return self._value > o
+        return NotImplemented if o is None else _as_binary64(self) > o
 
     def __ge__(self, other):
         o = _as_binary64(other)
-        if o is None:
-            return NotImplemented
-        if math.isnan(o):
-            return False
-        if self._value is None:
-            return True
-        return self._value >= o
+        return NotImplemented if o is None else _as_binary64(self) >= o
 
     def __eq__(self, other):
         o = _as_binary64(other)
-        if o is None:
-            return NotImplemented
-        if math.isnan(o):
-            return False
-        if self._value is None:
-            return o == math.inf
-        return self._value == o
+        return NotImplemented if o is None else _as_binary64(self) == o
 
     def __hash__(self):
-        return hash(math.inf) if self._value is None else hash(self._value)
+        return hash(_as_binary64(self))
 
     def __add__(self, other):
         if self._value is None and (
@@ -188,8 +160,7 @@ class ExtendedWeight:
             return INFINITY
         if o < 0:
             return NotImplemented
-        total = self._value + o
-        return INFINITY if math.isinf(total) else ExtendedWeight(total)
+        return from_binary64(self._value + o)
 
     __radd__ = __add__
 
@@ -206,25 +177,15 @@ def compare(a: ExtendedWeight, b: ExtendedWeight) -> Ordering:
     """Total order: the sentinel dominates every finite weight and equals itself."""
     if not isinstance(a, ExtendedWeight) or not isinstance(b, ExtendedWeight):
         raise TypeError("compare expects two ExtendedWeight values")
-    if a._value is None:
-        return Ordering.EQUAL if b._value is None else Ordering.GREATER
-    if b._value is None:
-        return Ordering.LESS
-    if a._value < b._value:
-        return Ordering.LESS
-    if a._value > b._value:
-        return Ordering.GREATER
-    return Ordering.EQUAL
+    x, y = _as_binary64(a), _as_binary64(b)
+    return Ordering((x > y) - (x < y))
 
 
 def add(a: ExtendedWeight, b: ExtendedWeight) -> ExtendedWeight:
     """Sum of two weights; the sentinel absorbs, finite overflow saturates to it."""
     if not isinstance(a, ExtendedWeight) or not isinstance(b, ExtendedWeight):
         raise TypeError("add expects two ExtendedWeight values")
-    if a._value is None or b._value is None:
-        return INFINITY
-    total = a._value + b._value
-    return INFINITY if math.isinf(total) else ExtendedWeight(total)
+    return from_binary64(_as_binary64(a) + _as_binary64(b))
 
 
 def to_binary64(a: ExtendedWeight) -> float:

@@ -159,6 +159,31 @@ class TestRunComparison:
         assert 0.0 <= report.p_one_tailed <= 1.0
         assert report.alpha == 0.01
 
+    def test_repeated_graph_ids_give_one_row_each_in_input_order(self, monkeypatch):
+        entries = [
+            ("same", fixture("Linear_Chain_1"), "A"),
+            ("same", fixture("Cycle_Graph_1"), "A"),
+        ]
+        # elapsed per call, baseline then sentinel: entry 0 is 1,2,3,4; entry 1 is 5,6,7,8
+        fake, _ = _fake_time_dijkstra([float(i + 1) for i in range(8)])
+        monkeypatch.setattr(bench, "time_dijkstra", fake)
+        rows, _ = run_comparison(entries, iterations=10, repetitions=2)
+        assert [(r.graph_id, r.baseline_mean, r.sentinel_mean) for r in rows] == [
+            ("same", 2.0, 3.0),
+            ("same", 6.0, 7.0),
+        ]
+
+    def test_unknown_source_fails_before_any_timing(self, monkeypatch):
+        entries = [
+            ("g1", fixture("Linear_Chain_1"), "A"),
+            ("g2", {"B": {"C": 2}, "C": {}}, "A"),
+        ]
+        fake, calls = _fake_time_dijkstra([1.0] * 8)
+        monkeypatch.setattr(bench, "time_dijkstra", fake)
+        with pytest.raises(UnknownNodeError, match="'A' in graph 'g2'"):
+            run_comparison(entries, iterations=10, repetitions=2)
+        assert calls == []
+
     def test_validation(self):
         entry = ("g", fixture("Linear_Chain_1"), "A")
         with pytest.raises(ValueError, match="at least one graph"):

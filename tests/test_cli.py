@@ -3,9 +3,15 @@
 import csv
 import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import extinf.bench as bench
 from extinf.cli import main
 from extinf.fixtures import fixture
 from extinf.graphs import parse_graph
@@ -174,15 +180,18 @@ class TestCompare:
         assert list(csv.DictReader(io.StringIO(out)))
         assert "H0 at alpha" in err and "H0 at alpha" not in out
 
-    def test_unknown_source_names_node(self, capsys, tmp_path):
+    def test_unknown_source_names_node(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "g.json"
-        path.write_text('{"A":{"B":2},"B":{}}')
+        path.write_text('{"B":{"C":2},"C":{}}')
+        timed = []
+        monkeypatch.setattr(bench, "time_dijkstra", lambda *args, **kw: timed.append(args))
         code, _, err = run_cli(
-            capsys, "compare", "--graph", str(path), "--source", "Z",
-            "--iterations", "1",
+            capsys, "compare", "--fixtures", "Cycle_Graph_1", "--graph", str(path),
+            "--source", "A", "--iterations", "1",
         )
         assert code == 1
-        assert "'Z'" in err
+        assert "'A'" in err and str(path) in err
+        assert timed == []
 
     def test_graph_file_and_fixture_mix(self, capsys, tmp_path):
         path = tmp_path / "g.json"
@@ -289,6 +298,61 @@ class TestTtest:
         code, _, err = run_cli(capsys, "ttest", str(bad), str(ok))
         assert code == 1
         assert f"{bad}, line 4: not a finite number: {cell!r}" in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'"' + b"x" * 140_000 + b'"\n', "field larger than field limit"),
+            (b"1.0\n\xff\n", "codec can't decode byte 0xff"),
+            (b"1.0\n", "needs at least two samples"),
+            (b"1e308\n1e308\n", "overflow"),
+        ],
+        ids=["long-field", "not-utf8", "one-sample", "overflowing-sum"],
+    )
+    def test_failures_name_the_file(self, capsys, tmp_path, content, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        ok = tmp_path / "ok.csv"
+        self._write_samples(ok, [1, 2])
+        code, _, err = run_cli(capsys, "ttest", str(ok), str(bad))
+        assert code == 1
+        assert err.startswith("error: ") and str(bad) in err and message in err
+
+
+_cells = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**400), 10**400).map(str),
+    st.sampled_from(["", " ", "per_iteration", "value", '"', "1e308", "-1e308"]),
+    st.text(max_size=4),
+)
+_csv_texts = st.lists(st.lists(_cells, min_size=1, max_size=3), max_size=6).map(
+    lambda rows: "\n".join(",".join(row) for row in rows).encode("utf-8")
+)
+_sample_files = st.one_of(
+    st.binary(max_size=64),
+    _csv_texts,
+    st.builds(bytes.__add__, _csv_texts, st.binary(max_size=8)),
+)
+
+
+class TestTtestFuzzed:
+    """Any sample file gives a report or an error naming it, never a traceback."""
+
+    @given(_sample_files, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_report_or_error_naming_the_file(self, content, fuzzed_first):
+        with tempfile.TemporaryDirectory() as tmp:
+            fuzzed = os.path.join(tmp, "fuzzed.csv")
+            ok = os.path.join(tmp, "ok.csv")
+            with open(fuzzed, "wb") as handle:
+                handle.write(content)
+            with open(ok, "w", encoding="utf-8") as handle:
+                handle.write("1\n2\n3\n")
+            files = [fuzzed, ok] if fuzzed_first else [ok, fuzzed]
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["ttest", *files])
+        assert code == 0 or (code == 1 and fuzzed in err.getvalue()), err.getvalue()
 
 
 class TestFixturesCmd:

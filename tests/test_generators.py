@@ -115,6 +115,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="only supported"):
             GeneratorSpec(kind="dense", node_count=4, weights=(1,) * 12)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "linear_chain", "node_count": 2, "weights": (True,)},
+            {"kind": "equal_weights", "node_count": 3, "weight_range": (True, True)},
+        ],
+    )
+    def test_bools_are_not_weights(self, fields):
+        with pytest.raises(ValueError, match="weight"):
+            GeneratorSpec(**fields)
+
     def test_explicit_weights_must_be_non_negative(self):
         with pytest.raises(ValueError, match="bad explicit weight"):
             GeneratorSpec(kind="linear_chain", node_count=3, weights=(1, -2))

@@ -20,7 +20,7 @@ from extinf.shortest_path import (
     get_domain,
     linear_scan_distances,
 )
-from extinf.weights import INFINITY, Ordering, finite
+from extinf.weights import INFINITY, finite
 from helpers import enumerate_shortest, reachable
 
 
@@ -133,21 +133,6 @@ class TestDomains:
     def test_infinity_representations_differ_only_in_type(self):
         assert IEEE_BASELINE.infinity == math.inf
         assert SENTINEL.infinity is INFINITY
-
-    @pytest.mark.parametrize("domain", [IEEE_BASELINE, SENTINEL])
-    def test_shared_operation_contracts(self, domain):
-        inf = domain.infinity
-        assert domain.compare(inf, 3.0) is Ordering.GREATER
-        assert domain.compare(3.0, inf) is Ordering.LESS
-        assert domain.compare(inf, inf) is Ordering.EQUAL
-        assert domain.compare(2.0, 3.0) is Ordering.LESS
-        assert domain.add(inf, 5.0) == inf
-        assert domain.add(2.0, 3.0) == 5.0
-
-    @pytest.mark.parametrize("domain", [IEEE_BASELINE, SENTINEL])
-    def test_extended_conversions_round_trip(self, domain):
-        for w in (finite(0), finite(2.5), INFINITY):
-            assert domain.to_extended(domain.from_extended(w)) == w
 
     def test_raw_kernel_returns_domain_values(self):
         graph = fixture("Disconnected_Graph_1")

@@ -175,10 +175,6 @@ class TestWelch:
         with pytest.raises(ValueError, match="alpha"):
             welch_test([1, 2], [3, 4], alpha=1.5)
 
-    def test_alternative_validation(self):
-        with pytest.raises(ValueError, match="alternative"):
-            welch_test([1, 2], [3, 4], alternative="two_sided")
-
     def test_accepts_sample_sets(self):
         report = welch_test(SampleSet((1, 2), "a"), SampleSet((2, 4), "b"))
         assert report.n_a == 2
