@@ -7,7 +7,6 @@ comparison is data, not a failure, so compare exits 0 either way.  The
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -298,22 +297,18 @@ def cmd_ttest(args) -> int:
 
 def cmd_fixtures(args) -> int:
     if args.emit is not None:
-        _write_output(graphs.emit_graph(fixture(args.emit)), args.output)
-        return 0
-    if args.routes:
-        out = io.StringIO()
-        for route in ROAD_ROUTES:
-            print(
-                f"{route.name}: start={route.start} radius_m={route.radius_m} end={route.end}",
-                file=out,
-            )
-        _write_output(out.getvalue(), args.output)
-        return 0
-    out = io.StringIO()
-    for name in FIXTURE_NAMES:
-        graph = fixture(name)
-        print(f"{name}  {len(graph)} nodes  {graphs.count_edges(graph)} edges", file=out)
-    _write_output(out.getvalue(), args.output)
+        text = graphs.emit_graph(fixture(args.emit))
+    elif args.routes:
+        text = "".join(
+            f"{route.name}: start={route.start} radius_m={route.radius_m} end={route.end}\n"
+            for route in ROAD_ROUTES
+        )
+    else:
+        text = "".join(
+            f"{name}  {len(graph)} nodes  {graphs.count_edges(graph)} edges\n"
+            for name, graph in zip(FIXTURE_NAMES, map(fixture, FIXTURE_NAMES))
+        )
+    _write_output(text, args.output)
     return 0
 
 

@@ -5,44 +5,20 @@ a byte-identical graph, driven by a SplitMix64 stream (a tiny 64-bit PRNG with
 a fixed, version-stable sequence).  Generated node ids are ``n0``, ``n1``, ...
 zero-padded to a constant width so lexicographic order matches construction
 order.
+
+The ``_KINDS`` table at the end of the module is the single definition of a
+kind: its builder, its fewest nodes and whether it takes explicit weights.
+``KINDS`` is the table's key order, which also seeds the benchmark's graphs.
 """
 
 import math
 from dataclasses import dataclass
 
+from .graphs import _weight_problem
+
 __all__ = ["GeneratorSpec", "KINDS", "SplitMix64", "generate"]
 
 _MASK64 = (1 << 64) - 1
-
-KINDS = (
-    "linear_chain",
-    "sparse_tree",
-    "dense",
-    "star",
-    "disconnected",
-    "cycle",
-    "equal_weights",
-    "grid",
-    "worst_case_tie",
-    "real_world_like",
-)
-
-_MIN_NODES = {
-    "linear_chain": 2,
-    "sparse_tree": 2,
-    "dense": 2,
-    "star": 2,
-    "disconnected": 2,
-    "cycle": 3,
-    "equal_weights": 2,
-    "grid": 4,
-    "worst_case_tie": 4,
-    "real_world_like": 2,
-}
-
-# Kinds with a canonical linear edge order, usable with explicit weight lists.
-_EXPLICIT_WEIGHT_KINDS = ("linear_chain", "star", "cycle")
-
 
 class SplitMix64:
     """SplitMix64 generator; unbiased bounded draws via power-of-two rejection."""
@@ -67,14 +43,6 @@ class SplitMix64:
                 return lo + v
 
 
-def _edge_count(kind, node_count):
-    if kind == "linear_chain" or kind == "star":
-        return node_count - 1
-    if kind == "cycle":
-        return node_count
-    raise AssertionError(kind)
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters of one seeded generation.
@@ -96,7 +64,7 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind: {self.kind!r}")
         if not isinstance(self.node_count, int) or isinstance(self.node_count, bool):
             raise ValueError(f"node_count must be an integer, got {self.node_count!r}")
-        minimum = _MIN_NODES[self.kind]
+        _, minimum, edge_count = _KINDS[self.kind]
         if self.node_count < minimum:
             raise ValueError(
                 f"kind {self.kind!r} needs at least {minimum} nodes, got {self.node_count}"
@@ -114,31 +82,21 @@ class GeneratorSpec:
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.weights is not None:
-            if self.kind not in _EXPLICIT_WEIGHT_KINDS:
+            if edge_count is None:
                 raise ValueError(
                     f"explicit weights are only supported for {_EXPLICIT_WEIGHT_KINDS}"
                 )
             object.__setattr__(self, "weights", tuple(self.weights))
-            expected = _edge_count(self.kind, self.node_count)
+            expected = edge_count(self.node_count)
             if len(self.weights) != expected:
                 raise ValueError(
                     f"{self.kind} with {self.node_count} nodes needs {expected} weights, "
                     f"got {len(self.weights)}"
                 )
             for w in self.weights:
-                try:
-                    bad = (
-                        isinstance(w, bool)
-                        or not isinstance(w, (int, float))
-                        or not math.isfinite(w)
-                        or w < 0
-                    )
-                except OverflowError:  # an int past binary64 range; too long to quote
-                    raise ValueError(
-                        f"bad explicit weight: a {w.bit_length()}-bit integer is not finite"
-                    ) from None
-                if bad:
-                    raise ValueError(f"bad explicit weight: {w!r}")
+                problem = _weight_problem(w)
+                if problem is not None:
+                    raise ValueError(f"bad explicit weight: {problem}")
 
 
 def _node_names(count):
@@ -158,22 +116,19 @@ def generate(spec: GeneratorSpec) -> dict:
     else:
         next_weight = lambda: rng.randint(lo, hi)
     names = _node_names(spec.node_count)
-    return _BUILDERS[spec.kind](names, rng, next_weight)
+    build, _, _ = _KINDS[spec.kind]
+    return build(names, rng, next_weight)
 
 
-def _chain_over(names, next_weight):
+def _build_linear_chain(names, rng, next_weight):
     graph = {name: {} for name in names}
     for a, b in zip(names, names[1:]):
         graph[a][b] = next_weight()
     return graph
 
 
-def _build_linear_chain(names, rng, next_weight):
-    return _chain_over(names, next_weight)
-
-
 def _build_cycle(names, rng, next_weight):
-    graph = _chain_over(names, next_weight)
+    graph = _build_linear_chain(names, rng, next_weight)
     graph[names[-1]][names[0]] = next_weight()
     return graph
 
@@ -206,17 +161,14 @@ def _build_dense(names, rng, next_weight):
 
 def _build_disconnected(names, rng, next_weight):
     split = rng.randint(1, len(names) - 1)
-    graph = _chain_over(names[:split], next_weight)
-    graph.update(_chain_over(names[split:], next_weight))
+    graph = _build_linear_chain(names[:split], rng, next_weight)
+    graph.update(_build_linear_chain(names[split:], rng, next_weight))
     return graph
 
 
 def _build_equal_weights(names, rng, next_weight):
     # Random tree plus occasional extra forward edges, one shared weight.
-    graph = {name: {} for name in names}
-    for j in range(1, len(names)):
-        parent = names[rng.randint(0, j - 1)]
-        graph[parent][names[j]] = next_weight()
+    graph = _build_sparse_tree(names, rng, next_weight)
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             if names[j] not in graph[names[i]] and rng.randint(0, 3) == 0:
@@ -275,15 +227,22 @@ def _build_real_world_like(names, rng, next_weight):
     return graph
 
 
-_BUILDERS = {
-    "linear_chain": _build_linear_chain,
-    "sparse_tree": _build_sparse_tree,
-    "dense": _build_dense,
-    "star": _build_star,
-    "disconnected": _build_disconnected,
-    "cycle": _build_cycle,
-    "equal_weights": _build_equal_weights,
-    "grid": _build_grid,
-    "worst_case_tie": _build_worst_case_tie,
-    "real_world_like": _build_real_world_like,
+# The single definition of a kind: its builder, its fewest nodes, and the
+# length of an explicit weight list for node_count nodes, or None for kinds
+# whose edge order is not canonical.  KINDS keeps this order, and the
+# benchmark seeds its graphs by a kind's index in it, so add kinds at the end.
+_KINDS = {
+    "linear_chain": (_build_linear_chain, 2, lambda n: n - 1),
+    "sparse_tree": (_build_sparse_tree, 2, None),
+    "dense": (_build_dense, 2, None),
+    "star": (_build_star, 2, lambda n: n - 1),
+    "disconnected": (_build_disconnected, 2, None),
+    "cycle": (_build_cycle, 3, lambda n: n),
+    "equal_weights": (_build_equal_weights, 2, None),
+    "grid": (_build_grid, 4, None),
+    "worst_case_tie": (_build_worst_case_tie, 4, None),
+    "real_world_like": (_build_real_world_like, 2, None),
 }
+
+KINDS = tuple(_KINDS)
+_EXPLICIT_WEIGHT_KINDS = tuple(kind for kind, entry in _KINDS.items() if entry[2] is not None)

@@ -11,7 +11,8 @@ always serialize to identical bytes.
 ``parse_graph`` and ``validate`` check every edge weight, so both loops first
 try one inline test that accepts a plain ``float`` or ``int`` in range without
 a function call; it accepts only weights that ``_check_weight`` accepts, and
-every other weight goes to ``_check_weight``, which words the error.
+every other weight goes to ``_check_weight``, which words the error.  The rule
+itself is ``_weight_problem``, which ``generators`` shares for explicit weights.
 """
 
 import itertools
@@ -54,20 +55,25 @@ class DanglingTargetWarning(UserWarning):
 _MAX_INT = int(sys.float_info.max)
 
 
-def _check_weight(node, neighbor, weight):
+def _weight_problem(weight):
+    """Why weight is not a non-negative finite number, or None if it is one."""
     if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-        return f"edge {node!r} -> {neighbor!r}: weight must be a number, got {weight!r}"
+        return f"weight must be a number, got {weight!r}"
     try:
         if not math.isfinite(weight):
-            return f"edge {node!r} -> {neighbor!r}: weight must be finite, got {weight!r}"
+            return f"weight must be finite, got {weight!r}"
     except OverflowError:  # an int past binary64 range; too long to quote
-        return (
-            f"edge {node!r} -> {neighbor!r}: weight must be finite, "
-            f"got a {weight.bit_length()}-bit integer"
-        )
+        return f"weight must be finite, got a {weight.bit_length()}-bit integer"
     if weight < 0:
-        return f"edge {node!r} -> {neighbor!r}: negative weight {weight!r}"
+        return f"negative weight {weight!r}"
     return None
+
+
+def _check_weight(node, neighbor, weight):
+    problem = _weight_problem(weight)
+    if problem is None:
+        return None
+    return f"edge {node!r} -> {neighbor!r}: {problem}"
 
 
 def parse_graph(text: str) -> dict:

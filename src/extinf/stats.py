@@ -94,25 +94,19 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _CF_MAX_ITERATIONS + 1):
         m2 = 2 * m
-        coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + coeff / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        coeff = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + coeff / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for coeff in (even, odd):
+            d = 1.0 + coeff * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + coeff / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        # Converged when the odd step no longer moves h.
         if abs(delta - 1.0) < _CF_TOLERANCE:
             return h
     raise ArithmeticError("incomplete-beta continued fraction did not converge")

@@ -87,10 +87,10 @@ class ExtendedWeight:
             value = _float(value)
         if math.isnan(value):
             raise ValueError("weight cannot be NaN")
-        if math.isinf(value):
-            raise ValueError("use INFINITY for an infinite weight")
         if value < 0:
             raise ValueError(f"weight cannot be negative: {value!r}")
+        if math.isinf(value):
+            raise ValueError("use INFINITY for an infinite weight")
         self._value = value + 0.0  # folds -0.0 into +0.0
 
     @property
@@ -201,11 +201,7 @@ def from_binary64(x) -> ExtendedWeight:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise TypeError(f"expected a real number, got {type(x).__name__}")
         x = _float(x)
-    if math.isnan(x):
-        raise ValueError("NaN is not a weight")
-    if x < 0:
-        raise ValueError(f"negative value is not a weight: {x!r}")
-    return INFINITY if math.isinf(x) else ExtendedWeight(x)
+    return INFINITY if x == math.inf else ExtendedWeight(x)
 
 
 def canonical_number(x: float):

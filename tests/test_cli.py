@@ -84,7 +84,9 @@ class TestGen:
             "--weights", "1" + "0" * 400,
         )
         assert code == 2
-        assert "bad explicit weight: a 1329-bit integer" in err
+        assert err == (
+            "error: bad explicit weight: weight must be finite, got a 1329-bit integer\n"
+        )
 
     def test_bad_weight_range_syntax(self, capsys):
         code, _, err = run_cli(

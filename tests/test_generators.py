@@ -1,8 +1,10 @@
 """Seeded generators: determinism, validation, and category structure."""
 
+import hashlib
+
 import pytest
 
-from extinf.fixtures import fixture
+from extinf.fixtures import CATEGORIES, fixture
 from extinf.generators import KINDS, GeneratorSpec, SplitMix64, generate
 from extinf.graphs import emit_graph, validate
 from helpers import CATEGORY_PREDICATES
@@ -27,6 +29,46 @@ def test_splitmix64_randint_bounds():
     rng = SplitMix64(123)
     draws = [rng.randint(3, 9) for _ in range(500)]
     assert min(draws) == 3 and max(draws) == 9
+
+
+def test_kinds_keep_their_order():
+    # The benchmark seeds each graph by its kind's index in KINDS.
+    assert KINDS == (
+        "linear_chain",
+        "sparse_tree",
+        "dense",
+        "star",
+        "disconnected",
+        "cycle",
+        "equal_weights",
+        "grid",
+        "worst_case_tie",
+        "real_world_like",
+    )
+
+
+def test_fixture_categories_are_the_generator_kinds():
+    assert CATEGORIES == KINDS
+
+
+def test_generated_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for kind in KINDS:
+        for node_count in sizes_for(kind) + (100,):
+            for seed in (0, 7, 2**63, 2**64 - 1):
+                for weight_range in ((1, 10), (3, 1000)):
+                    spec = GeneratorSpec(kind, node_count, weight_range, seed)
+                    digest.update(emit_graph(generate(spec)).encode())
+    for kind, weights in (
+        ("linear_chain", (0, 2.5, 7)),
+        ("star", (1, 0.5, 2**53)),
+        ("cycle", (3, 0, 1.25, 9)),
+    ):
+        spec = GeneratorSpec(kind, len(weights) + (kind != "cycle"), weights=weights)
+        digest.update(emit_graph(generate(spec)).encode())
+    assert digest.hexdigest() == (
+        "c3c7ff7f06d032bb4deba166cdb4cb3016bbecc89d149fdf6cbeff490db2d8f9"
+    )
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -127,5 +169,5 @@ class TestSpecValidation:
             GeneratorSpec(**fields)
 
     def test_explicit_weights_must_be_non_negative(self):
-        with pytest.raises(ValueError, match="bad explicit weight"):
+        with pytest.raises(ValueError, match="^bad explicit weight: negative weight -2$"):
             GeneratorSpec(kind="linear_chain", node_count=3, weights=(1, -2))

@@ -118,6 +118,23 @@ class TestStudentTCdf:
             expected = tail if t < 0 else 1 - tail
             assert student_t_cdf(t, df) == pytest.approx(expected, abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "t, df, expected",
+        [
+            # Both sides of the incomplete beta's symmetry switch.
+            (-3.5, 2.0, "0x1.2a4d02ebd0087p-5"),
+            (-0.25, 7.5, "0x1.9e5c4e4bb0231p-2"),
+            (0.8, 30.0, "0x1.91eb7e3eb5d0ap-1"),
+            (2.1, 4.0, "0x1.e576fa6d2499fp-1"),
+            (-6.0, 12.5, "0x1.b7a6e35c98d9dp-16"),
+            (1.3, 1.0, "0x1.952362da373d1p-1"),
+        ],
+    )
+    def test_bits_are_pinned(self, t, df, expected):
+        # Exact binary64 results; a rewrite of the continued fraction must
+        # keep every rounding step.
+        assert student_t_cdf(t, df).hex() == expected
+
 
 class TestIncompleteBeta:
     def test_bounds(self):

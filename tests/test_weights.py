@@ -125,8 +125,9 @@ class TestBinary64:
             from_binary64(math.nan)
 
     def test_from_negative_rejected(self):
-        with pytest.raises(ValueError):
-            from_binary64(-1.0)
+        for negative in (-1.0, -math.inf):
+            with pytest.raises(ValueError, match="negative"):
+                from_binary64(negative)
 
     def test_int_past_binary64_range_rounds_to_infinity(self):
         assert from_binary64(10**400) is INFINITY
