@@ -22,8 +22,7 @@ data differently, reports print both, labelled.
 import csv
 import io
 import time
-from collections import defaultdict
-from dataclasses import asdict, dataclass
+from collections import defaultdict, namedtuple
 
 from .shortest_path import (
     IEEE_BASELINE,
@@ -74,24 +73,19 @@ def _consume(result):
     _sink ^= len(result)
 
 
-@dataclass(frozen=True)
-class TimingSample:
+class TimingSample(namedtuple("TimingSample", TIMING_CSV_COLUMNS)):
     """One measured repetition of an iteration block."""
 
-    impl: str
-    graph_id: str
-    source: str
-    iterations: int
-    elapsed: float
-    per_iteration: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.iterations < 1:
+    def __new__(cls, impl, graph_id, source, iterations, elapsed, per_iteration):
+        if iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.elapsed < 0:
+        if elapsed < 0:
             raise ValueError("elapsed time cannot be negative")
-        if self.per_iteration != self.elapsed / self.iterations:
+        if per_iteration != elapsed / iterations:
             raise ValueError("per_iteration must equal elapsed/iterations")
+        return super().__new__(cls, impl, graph_id, source, iterations, elapsed, per_iteration)
 
 
 def time_dijkstra(graph, source, domain, iterations, *, graph_id="graph") -> TimingSample:
@@ -123,12 +117,8 @@ def improvement(baseline: float, candidate: float) -> float:
     return (baseline - candidate) / baseline * 100.0
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    graph_id: str
-    baseline_mean: float
-    sentinel_mean: float
-    improvement_pct: float
+class ComparisonRow(namedtuple("ComparisonRow", COMPARISON_CSV_COLUMNS)):
+    __slots__ = ()
 
     @classmethod
     def from_means(cls, graph_id, baseline_mean, sentinel_mean):
@@ -201,25 +191,26 @@ def aggregates(rows, report: WelchReport) -> dict:
     }
 
 
-def _csv(columns, dict_rows) -> str:
+def _csv(columns, records) -> str:
+    # Each record's fields are the columns, in order.
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=list(columns), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(dict_rows)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(records)
     return out.getvalue()
 
 
 def timing_csv(samples) -> str:
-    return _csv(TIMING_CSV_COLUMNS, (asdict(s) for s in samples))
+    return _csv(TIMING_CSV_COLUMNS, samples)
 
 
 def comparison_csv(rows) -> str:
-    return _csv(COMPARISON_CSV_COLUMNS, (asdict(r) for r in rows))
+    return _csv(COMPARISON_CSV_COLUMNS, rows)
 
 
 def comparison_jsonable(rows, report: WelchReport, config: dict = None) -> dict:
     doc = {
-        "rows": [asdict(r) for r in rows],
+        "rows": [r._asdict() for r in rows],
         "aggregates": aggregates(rows, report),
         "welch": report.to_jsonable(),
     }

@@ -7,7 +7,7 @@ and a search radius); acquiring and parsing the underlying road graphs is the
 caller's job, via the regular graph JSON format.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "CATEGORIES",
@@ -153,14 +153,10 @@ def primary_fixture_names() -> list:
     return [CATEGORY_FIXTURES[category][0] for category in CATEGORIES]
 
 
-@dataclass(frozen=True)
-class RouteEndpoints:
+class RouteEndpoints(namedtuple("RouteEndpoints", "name start radius_m end")):
     """Endpoints of one road-route scenario: coordinates plus a fetch radius."""
 
-    name: str
-    start: tuple
-    radius_m: int
-    end: tuple
+    __slots__ = ()
 
 
 ROAD_ROUTES = (

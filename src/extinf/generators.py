@@ -12,7 +12,7 @@ kind: its builder, its fewest nodes and whether it takes explicit weights.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import _weight_problem
 
@@ -37,66 +37,66 @@ class SplitMix64:
         """Uniform integer in [lo, hi], both ends inclusive."""
         span = hi - lo + 1
         mask = (1 << span.bit_length()) - 1
+        if span <= 1 << 64:
+            while True:
+                v = self.next_u64() & mask
+                if v < span:
+                    return lo + v
+        # A wider span joins as many whole outputs as its largest offset needs.
+        words = range(-(-(span - 1).bit_length() // 64))
         while True:
-            v = self.next_u64() & mask
+            v = sum(self.next_u64() << 64 * i for i in words) & mask
             if v < span:
                 return lo + v
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(namedtuple("GeneratorSpec", "kind node_count weight_range seed weights")):
     """Parameters of one seeded generation.
 
     weight_range is an inclusive integer interval; equal_weights ignores its
     upper bound and uses the lower bound for every edge.  weights, when given,
     replaces seeded weights with an explicit per-edge list, only for kinds
-    whose edge order is canonical (linear_chain, star, cycle).
+    whose edge order is canonical (linear_chain, star, cycle); it is stored
+    as a tuple.
     """
 
-    kind: str
-    node_count: int
-    weight_range: tuple = (1, 10)
-    seed: int = 0
-    weights: tuple = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown generator kind: {self.kind!r}")
-        if not isinstance(self.node_count, int) or isinstance(self.node_count, bool):
-            raise ValueError(f"node_count must be an integer, got {self.node_count!r}")
-        _, minimum, edge_count = _KINDS[self.kind]
-        if self.node_count < minimum:
-            raise ValueError(
-                f"kind {self.kind!r} needs at least {minimum} nodes, got {self.node_count}"
-            )
-        if self.kind == "grid" and math.isqrt(self.node_count) ** 2 != self.node_count:
-            raise ValueError(
-                f"grid node_count must be a perfect square, got {self.node_count}"
-            )
-        lo, hi = self.weight_range
+    def __new__(cls, kind, node_count, weight_range=(1, 10), seed=0, weights=None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown generator kind: {kind!r}")
+        if not isinstance(node_count, int) or isinstance(node_count, bool):
+            raise ValueError(f"node_count must be an integer, got {node_count!r}")
+        _, minimum, edge_count = _KINDS[kind]
+        if node_count < minimum:
+            raise ValueError(f"kind {kind!r} needs at least {minimum} nodes, got {node_count}")
+        if kind == "grid" and math.isqrt(node_count) ** 2 != node_count:
+            raise ValueError(f"grid node_count must be a perfect square, got {node_count}")
+        lo, hi = weight_range
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (lo, hi)):
-            raise ValueError(f"weight_range must be integers, got {self.weight_range!r}")
-        floor = 0 if self.kind == "equal_weights" else 1
+            raise ValueError(f"weight_range must be integers, got {weight_range!r}")
+        floor = 0 if kind == "equal_weights" else 1
         if lo < floor or hi < lo:
-            raise ValueError(f"bad weight_range for {self.kind!r}: {self.weight_range!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.weights is not None:
+            raise ValueError(f"bad weight_range for {kind!r}: {weight_range!r}")
+        if not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        if weights is not None:
             if edge_count is None:
                 raise ValueError(
                     f"explicit weights are only supported for {_EXPLICIT_WEIGHT_KINDS}"
                 )
-            object.__setattr__(self, "weights", tuple(self.weights))
-            expected = edge_count(self.node_count)
-            if len(self.weights) != expected:
+            weights = tuple(weights)
+            expected = edge_count(node_count)
+            if len(weights) != expected:
                 raise ValueError(
-                    f"{self.kind} with {self.node_count} nodes needs {expected} weights, "
-                    f"got {len(self.weights)}"
+                    f"{kind} with {node_count} nodes needs {expected} weights, "
+                    f"got {len(weights)}"
                 )
-            for w in self.weights:
+            for w in weights:
                 problem = _weight_problem(w)
                 if problem is not None:
                     raise ValueError(f"bad explicit weight: {problem}")
+        return super().__new__(cls, kind, node_count, weight_range, seed, weights)
 
 
 def _node_names(count):

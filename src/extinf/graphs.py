@@ -105,6 +105,21 @@ def parse_graph(text: str) -> dict:
                 problem = _check_weight(node, neighbor, w)
                 if problem is not None:
                     raise GraphParseError(problem)
+    # json.loads keeps the last of duplicate keys.  Every value is now a number
+    # or a flat object, so each member has exactly one ":" outside a string and
+    # equal counts prove that no key was dropped; unequal ones are looked into.
+    # In encoded text every ":" still holds a 0x3A byte, and stray ones only add.
+    colon = b":" if isinstance(text, (bytes, bytearray)) else ":"
+    if text.count(colon) != len(doc) + sum(map(len, doc.values())):
+        members = json.loads(text, object_pairs_hook=list)
+        # Node ids first: once they are distinct, each adjacency is one checked above.
+        for node, pairs in [(None, members)] + members:
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    where = f"node {key!r}" if node is None else f"edge {node!r} -> {key!r}"
+                    raise GraphParseError(f"{where} appears more than once")
+                seen.add(key)
     graph = doc  # json.loads built every dict afresh, so the graph owns them
     dangling = sorted(set(itertools.chain.from_iterable(graph.values())) - graph.keys())
     if dangling:

@@ -11,7 +11,7 @@ coded reference used to cross-check results.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import InvalidGraphError, validate
 from .weights import INFINITY, canonical_number, from_binary64, parse_weight
@@ -35,8 +35,7 @@ class UnknownNodeError(LookupError):
     """A node id that does not exist in the graph."""
 
 
-@dataclass(frozen=True)
-class WeightDomain:
+class WeightDomain(namedtuple("WeightDomain", "name infinity")):
     """An infinity representation, named for reports.
 
     The two domains differ only in this value.  Comparison and addition are
@@ -45,8 +44,7 @@ class WeightDomain:
     with IEEE arithmetic on binary64 images.
     """
 
-    name: str
-    infinity: object
+    __slots__ = ()
 
 
 IEEE_BASELINE = WeightDomain("ieee_baseline", math.inf)

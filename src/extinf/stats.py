@@ -18,7 +18,7 @@ continued fraction with convergence tolerance 1e-14 and a hard iteration cap.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 __all__ = [
     "DegenerateSamplesError",
@@ -40,21 +40,22 @@ class DegenerateSamplesError(ValueError):
     """Both sample sets have zero variance; the t statistic is undefined."""
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """A labelled, non-empty collection of finite measurements (seconds)."""
+class SampleSet(namedtuple("SampleSet", "values label")):
+    """A labelled, non-empty collection of finite measurements (seconds).
 
-    values: tuple
-    label: str = ""
+    len() counts the measurements, not the record's two fields.
+    """
 
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+    __slots__ = ()
+
+    def __new__(cls, values, label=""):
+        values = tuple(float(v) for v in values)
         if not values:
             raise ValueError("a sample set cannot be empty")
         for v in values:
             if not math.isfinite(v):
                 raise ValueError(f"samples must be finite, got {v!r}")
-        object.__setattr__(self, "values", values)
+        return super().__new__(cls, values, label)
 
     def __len__(self):
         return len(self.values)
@@ -151,24 +152,17 @@ def student_t_cdf(t: float, df: float) -> float:
     return upper_tail if t < 0 else 1.0 - upper_tail
 
 
-@dataclass(frozen=True)
-class WelchReport:
+class WelchReport(
+    namedtuple(
+        "WelchReport", "t df p_one_tailed mean_a mean_b var_a var_b n_a n_b alpha reject_null"
+    )
+):
     """Everything the test computed, plus the decision at the chosen level."""
 
-    t: float
-    df: float
-    p_one_tailed: float
-    mean_a: float
-    mean_b: float
-    var_a: float
-    var_b: float
-    n_a: int
-    n_b: int
-    alpha: float
-    reject_null: bool
+    __slots__ = ()
 
     def to_jsonable(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     def verdict_line(self) -> str:
         decision = "reject H0" if self.reject_null else "fail to reject H0"

@@ -31,6 +31,13 @@ def test_splitmix64_randint_bounds():
     assert min(draws) == 3 and max(draws) == 9
 
 
+def test_splitmix64_randint_covers_spans_wider_than_one_output():
+    rng = SplitMix64(123)
+    draws = [rng.randint(0, 2**70) for _ in range(2000)]
+    assert all(0 <= v <= 2**70 for v in draws)
+    assert any(v >= 2**64 for v in draws)
+
+
 def test_kinds_keep_their_order():
     # The benchmark seeds each graph by its kind's index in KINDS.
     assert KINDS == (

@@ -198,8 +198,17 @@ def _assert_parse_matches(text, weights):
 
 def _check_against_reference(weights):
     assert validate(_star(weights)) == _reference(weights)
+
+    def loads(text, object_pairs_hook=None):
+        graph = _star(weights)
+        if object_pairs_hook is None:
+            return graph
+        return object_pairs_hook(
+            [(node, object_pairs_hook(list(adj.items()))) for node, adj in graph.items()]
+        )
+
     # parse_graph on the weight objects themselves, subclasses included ...
-    decoder = types.SimpleNamespace(loads=lambda text: _star(weights))
+    decoder = types.SimpleNamespace(loads=loads)
     with mock.patch.object(graphs, "json", decoder):
         _assert_parse_matches("", weights)
     # ... and on the JSON text of the same star.
@@ -268,6 +277,68 @@ class TestParseFuzzed:
     def test_nesting_too_deep(self, text):
         with pytest.raises(GraphParseError, match="malformed JSON"):
             parse_graph(text)
+
+
+# Ids over a small alphabet, so that repeats are common, with ":" itself and
+# characters that JSON text escapes: '"', backslash and a non-ASCII letter.
+_dup_ids = st.text('AB:"\\\u00e9', min_size=1, max_size=2)
+
+
+# Graph documents as written member by member, duplicates allowed.
+_member_lists = st.lists(
+    st.tuples(_dup_ids, st.lists(st.tuples(_dup_ids, st.integers(0, 9)), max_size=3)),
+    max_size=4,
+)
+
+
+def _key_text(key, escape_all):
+    # Either json.dumps' own escaping or every character as a \uXXXX escape,
+    # which writes a ":" in an id without a ":" in the text.
+    if escape_all:
+        return '"' + "".join(f"\\u{ord(c):04x}" for c in key) + '"'
+    return json.dumps(key)
+
+
+def _first_repeat(keys):
+    return next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+
+
+class TestDuplicateKeys:
+    def test_dropped_edge_is_reported(self):
+        with pytest.raises(GraphParseError, match="^node 'A' appears more than once$"):
+            parse_graph('{"A": {"B": 1}, "B": {}, "A": {}}')
+
+    @given(_member_lists, st.booleans(), st.sampled_from([None, "utf-8", "utf-16", "utf-32"]))
+    @settings(max_examples=300)
+    def test_duplicates_at_either_level_are_named(self, members, escape_all, encoding):
+        def obj(pairs, value_text):
+            return "{" + ", ".join(
+                f"{_key_text(k, escape_all)}: {value_text(v)}" for k, v in pairs
+            ) + "}"
+
+        text = obj(members, lambda adjacency: obj(adjacency, str))
+        if encoding is not None:  # json.loads also takes encoded bytes
+            text = text.encode(encoding)
+        node = _first_repeat([n for n, _ in members])
+        edge = next(
+            ((n, t) for n, adj in members if (t := _first_repeat([k for k, _ in adj]))),
+            None,
+        )
+        if node is not None:
+            expected = f"node {node!r} appears more than once"
+        elif edge is not None:
+            expected = f"edge {edge[0]!r} -> {edge[1]!r} appears more than once"
+        else:
+            expected = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DanglingTargetWarning)
+            if expected is None:
+                graph = parse_graph(text)
+                assert all(graph[n] == dict(adjacency) for n, adjacency in members)
+            else:
+                with pytest.raises(GraphParseError) as info:
+                    parse_graph(text)
+                assert str(info.value) == expected
 
 
 class TestFixtures:
