@@ -94,12 +94,16 @@ def _write_output(text: str, path):
             handle.write(text)
 
 
-def _parse_number(token: str):
+def _parse_weight(token: str):
     token = token.strip()
     try:
         return int(token)
     except ValueError:
+        pass
+    try:
         return float(token)
+    except ValueError:
+        raise _UsageError(f"--weights: not a number: {token!r}") from None
 
 
 def _resolve_seed(flag_value):
@@ -128,9 +132,14 @@ def _load_graph_file(path):
 def cmd_gen(args) -> int:
     try:
         lo, hi = (int(part) for part in args.weight_range.split(","))
-        weights = None
-        if args.weights is not None:
-            weights = tuple(_parse_number(part) for part in args.weights.split(","))
+    except ValueError:
+        raise _UsageError(
+            f"--weight-range must be two integers LO,HI, got {args.weight_range!r}"
+        ) from None
+    weights = None
+    if args.weights is not None:
+        weights = tuple(_parse_weight(part) for part in args.weights.split(","))
+    try:
         spec = generators.GeneratorSpec(
             kind=args.kind,
             node_count=args.nodes,

@@ -6,12 +6,24 @@ a fixed, version-stable sequence).  Generated node ids are ``n0``, ``n1``, ...
 zero-padded to a constant width so lexicographic order matches construction
 order.
 
+SplitMix64's k-th output is a fixed mix of ``seed + k * gamma mod 2**64``
+(Steele, Lea and Flood, "Fast splittable pseudorandom number generators",
+OOPSLA 2014), so ``SplitMix64`` mixes a block of outputs at once instead of
+paying the interpreter for each shift, xor and multiply of each one.  It packs
+the block's states into 128-bit lanes of one Python int, runs every mixing
+step on that int with the lanes masked back to 64 bits, so that no shift or
+product carries into the next lane, and unpacks the low words through a
+``memoryview``.  The loops over lanes are then the int type's C loops.  Blocks
+start at 16 outputs, so a small graph mixes few it never reads, and double up
+to 512; each size's lane constants are built the first time it is used.
+
 The ``_KINDS`` table at the end of the module is the single definition of a
 kind: its builder, its fewest nodes and whether it takes explicit weights.
 ``KINDS`` is the table's key order, which also seeds the benchmark's graphs.
 """
 
 import math
+import sys
 from collections import namedtuple
 
 from .graphs import _weight_problem
@@ -19,19 +31,50 @@ from .graphs import _weight_problem
 __all__ = ["GeneratorSpec", "KINDS", "SplitMix64", "generate"]
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_FIRST_BLOCK = 16
+_LAST_BLOCK = 512
+# Lane i of an n-output block holds the state n - i steps on, so the lanes'
+# low words, read from the least significant lane up, run from the block's
+# last output to its first; the slice reads them in that order in the bytes
+# of either byte order.
+_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+_lanes = {}  # block size -> (1 in each lane, gamma times each lane's steps, lane mask)
+
+
+def _lane_constants(n):
+    constants = _lanes.get(n)
+    if constants is None:
+        ones = int.from_bytes(b"\x01".ljust(16, b"\0") * n, "little")
+        steps = b"".join(k.to_bytes(16, "little") for k in range(n, 0, -1))
+        constants = _lanes[n] = (ones, _GAMMA * int.from_bytes(steps, "little"), _MASK64 * ones)
+    return constants
+
 
 class SplitMix64:
     """SplitMix64 generator; unbiased bounded draws via power-of-two rejection."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = seed & _MASK64  # state of the last output mixed so far
+        self._block = []  # mixed outputs not yet read, last first
+        self._block_size = _FIRST_BLOCK
+
+    def _mix_block(self):
+        n = self._block_size
+        ones, steps, mask = _lane_constants(n)
+        z = (self._state * ones + steps) & mask
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        self._block_size = min(2 * n, _LAST_BLOCK)
+        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        z ^= z >> 31  # the bits this leaves in the high words are never read
+        words = memoryview(z.to_bytes(16 * n, sys.byteorder)).cast("Q")
+        self._block = words[_LOW_WORDS].tolist()
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        if not self._block:
+            self._mix_block()
+        return self._block.pop()
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends inclusive."""

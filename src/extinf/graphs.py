@@ -13,6 +13,17 @@ try one inline test that accepts a plain ``float`` or ``int`` in range without
 a function call; it accepts only weights that ``_check_weight`` accepts, and
 every other weight goes to ``_check_weight``, which words the error.  The rule
 itself is ``_weight_problem``, which ``generators`` shares for explicit weights.
+
+``emit_graph`` writes the bytes of ``json.dumps(doc, sort_keys=True,
+indent=2)``, but any ``indent`` sends ``json`` to its pure-Python encoder, which
+spends most of a dense graph's emission on per-item generator steps.  So it
+encodes each level with the C encoder instead, using one encoder per nesting
+level whose item separator carries that level's newline and indentation, and
+adds only the braces around each non-empty adjacency.  Node keys are encoded
+together in one call and split apart at their separator, which is safe because
+an encoded key never holds a raw newline.  Each weight goes through
+``canonical_number``, except that an ``int`` it would return unchanged is kept
+by an inline test without a function call.
 """
 
 import itertools
@@ -21,7 +32,7 @@ import math
 import sys
 import warnings
 
-from .weights import canonical_number
+from .weights import _MAX_EXACT_INT, canonical_number
 
 __all__ = [
     "DanglingTargetWarning",
@@ -134,13 +145,32 @@ def parse_graph(text: str) -> dict:
     return graph
 
 
+# Every value these encode is a number, so there is no nesting to check.
+_NODE_KEYS = json.JSONEncoder(separators=(",\n  ", ": "), check_circular=False)
+_ADJACENCY = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "), check_circular=False)
+
+
+def _adjacency_text(neighbors):
+    text = _ADJACENCY.encode(
+        {
+            neighbor: w if type(w) is int and -_MAX_EXACT_INT < w < _MAX_EXACT_INT
+            else canonical_number(w)
+            for neighbor, w in neighbors.items()
+        }
+    )
+    return "{}" if text == "{}" else "{\n    " + text[1:-1] + "\n  }"
+
+
 def emit_graph(graph: dict) -> str:
     """Canonical JSON for a graph; parse_graph(emit_graph(g)) == g."""
-    doc = {
-        node: {neighbor: canonical_number(w) for neighbor, w in neighbors.items()}
-        for node, neighbors in graph.items()
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    nodes = sorted(graph)
+    if not nodes:
+        return "{}\n"
+    # An encoded key holds no raw newline, so the split finds each key's end.
+    keys = _NODE_KEYS.encode(dict.fromkeys(nodes, 0))[1:-4].split(": 0,\n  ")
+    return "{\n  " + ",\n  ".join(
+        f"{key}: {_adjacency_text(graph[node])}" for key, node in zip(keys, nodes)
+    ) + "\n}\n"
 
 
 def validate(graph: dict) -> list:

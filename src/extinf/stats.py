@@ -43,7 +43,9 @@ class DegenerateSamplesError(ValueError):
 class SampleSet(namedtuple("SampleSet", "values label")):
     """A labelled, non-empty collection of finite measurements (seconds).
 
-    len() counts the measurements, not the record's two fields.
+    len() counts the measurements, not the record's two fields, so _make (and
+    _replace, which calls it) builds through the constructor instead of
+    namedtuple's field-count check.
     """
 
     __slots__ = ()
@@ -56,6 +58,10 @@ class SampleSet(namedtuple("SampleSet", "values label")):
             if not math.isfinite(v):
                 raise ValueError(f"samples must be finite, got {v!r}")
         return super().__new__(cls, values, label)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __len__(self):
         return len(self.values)

@@ -94,6 +94,21 @@ class TestGen:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["1", "1,2,3", "1,x"])
+    def test_weight_range_error_names_the_flag(self, capsys, value):
+        code, _, err = run_cli(
+            capsys, "gen", "--kind", "star", "--nodes", "4", "--weight-range", value
+        )
+        assert code == 2
+        assert err == f"error: --weight-range must be two integers LO,HI, got {value!r}\n"
+
+    def test_weights_error_names_the_flag_and_the_item(self, capsys):
+        code, _, err = run_cli(
+            capsys, "gen", "--kind", "linear_chain", "--nodes", "3", "--weights", "1,x"
+        )
+        assert code == 2
+        assert err == "error: --weights: not a number: 'x'\n"
+
 
 class TestRun:
     def test_timing_csv_for_fixture(self, capsys):

@@ -38,6 +38,56 @@ def test_splitmix64_randint_covers_spans_wider_than_one_output():
     assert any(v >= 2**64 for v in draws)
 
 
+class _ScalarSplitMix64:
+    """Reference stream: SplitMix64 one output at a time, as Steele, Lea and
+    Flood define it, with the same rejection rule for bounded draws."""
+
+    def __init__(self, seed):
+        self.state = seed
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        return z ^ (z >> 31)
+
+    def randint(self, lo, hi):
+        # The mask has span.bit_length() bits, one more than a power-of-two
+        # span needs; the pinned bytes depend on it.
+        span = hi - lo + 1
+        words = max(1, -(-(span - 1).bit_length() // 64))
+        while True:
+            v = 0
+            for i in range(words):
+                v |= self.next_u64() << 64 * i
+            v %= 2 ** span.bit_length()
+            if v < span:
+                return lo + v
+
+
+STREAM_SEEDS = (0, 1, 2**63, 2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_block_stream_matches_scalar_splitmix64(seed):
+    # 2,000 outputs cross every block boundary up to the largest block size
+    # and three boundaries between blocks of that size.
+    rng, reference = SplitMix64(seed), _ScalarSplitMix64(seed)
+    assert [rng.next_u64() for _ in range(2000)] == [reference.next_u64() for _ in range(2000)]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_randint_draws_match_scalar_splitmix64(seed):
+    spans = (1, 2, 10, 2**64, 2**64 + 1, 2**70)
+    rng, reference = SplitMix64(seed), _ScalarSplitMix64(seed)
+    for i in range(1500):
+        lo = (-3, 0, 5)[i % 3]
+        hi = lo + spans[i % len(spans)] - 1
+        assert rng.randint(lo, hi) == reference.randint(lo, hi)
+    assert rng.next_u64() == reference.next_u64()
+
+
 def test_kinds_keep_their_order():
     # The benchmark seeds each graph by its kind's index in KINDS.
     assert KINDS == (

@@ -31,6 +31,7 @@ from extinf.graphs import (
     parse_graph,
     validate,
 )
+from extinf.weights import canonical_number
 
 
 class TestParse:
@@ -111,6 +112,60 @@ class TestEmit:
             for target in neighbors:
                 closed.setdefault(target, {})
         assert parse_graph(emit_graph(closed)) == closed
+
+
+def _indent_reference(graph):
+    """What emit_graph wrote through json's pure-Python indent=2 encoder."""
+    doc = {
+        node: {neighbor: canonical_number(w) for neighbor, w in neighbors.items()}
+        for node, neighbors in graph.items()
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# Ids whose encoded form could be mistaken for the separators emit_graph splits on.
+_awkward_ids = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n", ",\n  ", ": 0,\n  ", "\u00e9\u6f22", "{}", ""]),
+)
+_emitted_weights = st.one_of(
+    st.integers(-(2**53) - 3, 2**53 + 3),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.sampled_from([2**53, -(2**53), 2**53 - 1, 1e300, math.nan, math.inf, -math.inf]),
+    st.booleans(),
+)
+
+
+@st.composite
+def _emittable_graphs(draw):
+    # Keys of one dict must sort, so a graph's ids are all str or all int.
+    ids = draw(st.sampled_from([_awkward_ids, st.integers(-3, 12)]))
+    return draw(
+        st.dictionaries(ids, st.dictionaries(ids, _emitted_weights, max_size=5), max_size=6)
+    )
+
+
+class TestEmitMatchesIndentEncoder:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {},
+            {"A": {}},
+            {"A": {}, "B": {}},
+            {2: {10: 1}, 10: {}},
+            {"A": {"B": 2**53, "C": -(2**53), "D": 2**53 - 1}, "B": {}},
+            {"A": {"B": 1e300, "C": math.nan, "D": math.inf, "E": True, "F": False}},
+            {",\n  \"x\": 0": {"\\": 1}, "\u00e9\n": {"": 2.5}},
+        ],
+    )
+    def test_examples(self, graph):
+        assert emit_graph(graph) == _indent_reference(graph)
+
+    @given(_emittable_graphs())
+    @settings(max_examples=400)
+    def test_any_graph(self, graph):
+        assert emit_graph(graph) == _indent_reference(graph)
 
 
 class TestValidate:

@@ -108,6 +108,18 @@ def test_generator_spec_checks_the_kind_before_reading_weights():
         GeneratorSpec("star", 3, weights=5)
 
 
+def test_sample_set_replace_and_make_go_through_the_constructor():
+    three = SampleSet((1, 2, 3))
+    assert three._replace(label="x") == SampleSet((1.0, 2.0, 3.0), "x")
+    assert SampleSet._make([[4], "y"]) == SampleSet((4.0,), "y")
+    with pytest.raises(ValueError, match="cannot be empty"):
+        three._replace(values=())
+    with pytest.raises(ValueError, match="must be finite"):
+        SampleSet._make([[float("nan")], "z"])
+    with pytest.raises(ValueError, match="unexpected field names"):
+        three._replace(size=3)
+
+
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     # -S keeps site .pth hooks from importing modules before the package does.
     src = str(pathlib.Path(extinf.__file__).resolve().parents[1])
