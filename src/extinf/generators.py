@@ -77,7 +77,16 @@ class SplitMix64:
         return self._block.pop()
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], both ends inclusive."""
+        """Uniform integer in [lo, hi], both ends inclusive.
+
+        Draws are masked to ``span.bit_length()`` bits and redrawn until they
+        fall below the span.  For a power-of-two span that mask is one bit
+        wider than needed, so half the draws are rejected (``randint(0, 3)``
+        consumes two outputs per value on average).  The mask is part of the
+        pinned stream: every generated graph, and so the digest in
+        ``test_generated_bytes_are_pinned``, depends on it, and it is kept
+        as it is on purpose.
+        """
         span = hi - lo + 1
         mask = (1 << span.bit_length()) - 1
         if span <= 1 << 64:

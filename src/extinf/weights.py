@@ -11,15 +11,33 @@ sum that overflows saturates to the sentinel.
 
 ExtendedWeight instances also interoperate with plain numbers in comparisons
 and ``+``, so the sentinel can sit in a distance table next to raw floats.
-A search loop calls ``<`` and ``>`` against a plain float or ``INFINITY``
-and the sentinel's ``+`` with a number tens of thousands of times per query,
-so those operators try these exact operand types before the general path's
-coercion and type dispatch; each fast branch returns what the general path
-returns, NaN operands included.
+A search loop compares ``INFINITY`` with a plain float or with itself tens of
+thousands of times per query, so the singleton's ``<``, ``<=``, ``>`` and
+``>=`` are not Python functions.  Each is a ``functools.partial`` that
+compares the operand with one of two thresholds, and the interpreter's
+rich-compare slot calls it without a Python frame: ``INFINITY < x`` is
+``-inf > x``, which is never true, and ``INFINITY > x`` is
+``2**1024 - 2**970 > x``, where that int is the smallest that rounds to +inf.
+Python compares ints and floats exactly, so the second is "the binary64 image
+of x is below +inf" for every int and float, NaN and huge ints included.
+The singleton's ``+``, ``==`` and ``hash`` are Python methods, as are all the
+operators of a finite weight and of any infinite ExtendedWeight other than
+the singleton.  Their ``<``, ``>`` and ``>=`` try a plain float first; a
+weight compared with ``INFINITY`` gets the singleton's threshold as its
+operand, through the singleton's reflected method, and answers that in a fast
+branch too.
+
+The singleton's ordering operators pass an operand that is not an int or a
+float to that operand's reflected method, as ``float`` and ``int`` do: an
+ExtendedWeight, a ``Fraction`` or a ``Decimal`` answers by comparing itself
+with the threshold, and a non-number raises a ``TypeError`` that names
+``float`` or ``int``.
 """
 
 import enum
 import math
+import operator
+from functools import partial
 
 __all__ = [
     "Ordering",
@@ -37,6 +55,9 @@ __all__ = [
 
 # Largest integer range where binary64 is exact; beyond it we keep floats as-is.
 _MAX_EXACT_INT = 2**53
+# Smallest int whose binary64 image is +inf: the midpoint of the largest
+# finite double, 2**1024 - 2**971, and 2**1024, since ties round to even (up).
+_ROUNDS_TO_INF = 2**1024 - 2**970
 
 
 class Ordering(enum.Enum):
@@ -114,13 +135,17 @@ class ExtendedWeight:
     def __str__(self):
         return format_weight(self)
 
-    # IEEE comparison of binary64 images already makes NaN compare false and
-    # the sentinel (+inf) dominate.  The fast branches of __lt__, __gt__ and
-    # __add__ are float expressions that agree with it, NaN included.
+    # IEEE comparison of binary64 images makes NaN compare false and the
+    # sentinel (+inf) dominate.  The fast branches of __lt__, __gt__, __ge__
+    # and __add__ are float expressions that agree with it, NaN included.
+    # A comparison with INFINITY arrives here through the singleton's
+    # reflected method as one with its threshold: ``w < INFINITY`` as
+    # ``w < _ROUNDS_TO_INF``, ``w >= INFINITY`` as ``w >= _ROUNDS_TO_INF``,
+    # ``w > INFINITY`` as ``w < -inf`` and ``w <= INFINITY`` as ``w >= -inf``.
     def __lt__(self, other):
         if type(other) is float:
             return self._value is not None and self._value < other
-        if other is INFINITY:
+        if other is _ROUNDS_TO_INF:
             return self._value is not None
         o = _as_binary64(other)
         return NotImplemented if o is None else _as_binary64(self) < o
@@ -132,12 +157,14 @@ class ExtendedWeight:
     def __gt__(self, other):
         if type(other) is float:
             return other < math.inf if self._value is None else self._value > other
-        if other is INFINITY:
-            return False
         o = _as_binary64(other)
         return NotImplemented if o is None else _as_binary64(self) > o
 
     def __ge__(self, other):
+        if type(other) is float:
+            return other <= math.inf if self._value is None else self._value >= other
+        if other is _ROUNDS_TO_INF:
+            return self._value is None
         o = _as_binary64(other)
         return NotImplemented if o is None else _as_binary64(self) >= o
 
@@ -165,7 +192,30 @@ class ExtendedWeight:
     __radd__ = __add__
 
 
-INFINITY = ExtendedWeight()
+class _Infinity(ExtendedWeight):
+    """Type of the ``INFINITY`` singleton, whose ordering runs in C.
+
+    ``<`` and ``>=`` compare the operand with ``-inf``, ``<=`` and ``>`` with
+    ``_ROUNDS_TO_INF``.  An ExtendedWeight operand makes the float or int
+    return NotImplemented and answers through its own reflected method, so
+    ``INFINITY < INFINITY`` runs ``-inf > -inf``.
+    """
+
+    __slots__ = ()
+
+    # staticmethod keeps each partial unbound: called with the operand only.
+    # Newer CPythons warn that a bare partial in a class will bind like a method.
+    __lt__ = staticmethod(partial(operator.gt, -math.inf))
+    __le__ = staticmethod(partial(operator.le, _ROUNDS_TO_INF))
+    __gt__ = staticmethod(partial(operator.gt, _ROUNDS_TO_INF))
+    __ge__ = staticmethod(partial(operator.le, -math.inf))
+
+    def __reduce__(self):
+        # copy and pickle hand back the module-level singleton.
+        return "INFINITY"
+
+
+INFINITY = _Infinity()
 
 
 def finite(value) -> ExtendedWeight:

@@ -1,6 +1,8 @@
 """Search correctness: fixtures, oracle equivalence, domain interchangeability."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from extinf.shortest_path import (
     IEEE_BASELINE,
     SENTINEL,
     UnknownNodeError,
+    WeightDomain,
     bellman_ford,
     dijkstra,
     distances_from_jsonable,
@@ -140,6 +143,16 @@ class TestDomains:
         assert raw["X"] is INFINITY and raw["B"] == 3.0
         raw = linear_scan_distances(graph, "A", IEEE_BASELINE.infinity)
         assert raw["X"] == math.inf
+
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copied_sentinel_marks_unreachable(self, copier):
+        graph = fixture("Disconnected_Graph_1")
+        domain = WeightDomain("sentinel", copier(INFINITY))
+        assert dijkstra(graph, "A", domain) == dijkstra(graph, "A", SENTINEL)
 
 
 class TestTieBreaking:

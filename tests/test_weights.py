@@ -1,10 +1,14 @@
 """Extended-weight domain: ordering, addition, binary64 mapping, rendering."""
 
+import copy
+import decimal
 import itertools
 import math
 import operator
+import pickle
 import struct
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +308,111 @@ class TestOperatorSemantics:
     @settings(max_examples=300)
     def test_matches_binary64(self, w, v):
         _check_operators(w, v)
+
+
+def _outcome(op, x, y):
+    """op(x, y), or TypeError when it raises one."""
+    try:
+        return op(x, y)
+    except TypeError:
+        return TypeError
+
+
+def _pickled(protocol):
+    return lambda w: pickle.loads(pickle.dumps(w, protocol))
+
+
+def _python_calls(thunk):
+    """thunk's result and the names of the Python frames it ran."""
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        result = thunk()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+class TestSingleton:
+    """INFINITY is the one instance of a private subclass whose <, <=, > and >=
+    are C callables, so a search's comparisons with it run no Python frame."""
+
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.copy, copy.deepcopy]
+        + [pytest.param(_pickled(p), id=f"pickle{p}") for p in range(6)],
+    )
+    def test_copies_are_the_singleton(self, copier):
+        assert copier(INFINITY) is INFINITY
+
+    def test_comparisons_run_no_python_frame(self):
+        huge = 10**400
+        results, calls = _python_calls(
+            lambda: (INFINITY < 1.0, INFINITY < INFINITY, 1.0 < INFINITY, INFINITY > huge)
+        )
+        assert calls == ["<lambda>"]
+        assert results == (False, False, True, False)
+
+    def test_finite_weight_comparisons_take_a_fast_branch(self):
+        # A finite weight against a float or INFINITY runs its own method and
+        # nothing below it: no _as_binary64, no OverflowError from the threshold.
+        w = finite(2.0)
+        results, calls = _python_calls(
+            lambda: (
+                w < 1.5,
+                w > 1.5,
+                1.5 < w,
+                w < INFINITY,
+                w > INFINITY,
+                w <= INFINITY,
+                w >= INFINITY,
+            )
+        )
+        methods = ["__lt__", "__gt__", "__gt__", "__lt__", "__lt__", "__ge__", "__ge__"]
+        assert calls == ["<lambda>"] + methods
+        assert results == (False, True, True, True, False, True, False)
+
+    def test_type_repr_and_hash(self):
+        assert type(INFINITY) is not ExtendedWeight
+        assert type(INFINITY).__bases__ == (ExtendedWeight,)
+        assert isinstance(INFINITY, ExtendedWeight) and not isinstance(INFINITY, float)
+        assert repr(INFINITY) == repr(ExtendedWeight()) == "ExtendedWeight(inf)"
+        assert hash(INFINITY) == hash(ExtendedWeight()) == hash(math.inf)
+
+    def test_agrees_with_a_non_singleton_infinity(self):
+        twin = ExtendedWeight()
+        assert twin is not INFINITY and twin == INFINITY
+        for op in _COMPARISONS + (operator.add,):
+            for v in _EDGE_OPERANDS:
+                assert _outcome(op, INFINITY, v) == _outcome(op, twin, v), (op, v)
+                assert _outcome(op, v, INFINITY) == _outcome(op, v, twin), (op, v)
+
+    def test_other_numbers_answer_through_their_reflected_methods(self):
+        # The thresholds hand a Fraction or Decimal to its own comparison
+        # with -inf or 2**1024 - 2**970; the Python path refuses them.
+        for v in (Fraction(1, 3), decimal.Decimal("0.5")):
+            with decimal.localcontext():
+                assert [op(INFINITY, v) for op in _COMPARISONS[:4]] == [False, False, True, True]
+                assert v < INFINITY and not v > INFINITY
+            with pytest.raises(TypeError):
+                ExtendedWeight() < v
+        assert not INFINITY > Fraction(2**1024 - 2**970)
+        assert INFINITY >= Fraction(2**1024 - 2**970)
+
+    def test_type_errors_name_the_threshold_type(self):
+        with pytest.raises(TypeError, match="'float' and 'str'"):
+            INFINITY < "3"
+        with pytest.raises(TypeError, match="'int' and 'str'"):
+            INFINITY > "3"
+        with pytest.raises(TypeError, match="'int' and 'NoneType'"):
+            None < INFINITY
+        with pytest.raises(TypeError, match="'ExtendedWeight' and 'str'"):
+            ExtendedWeight() < "3"
 
 
 class TestRendering:
