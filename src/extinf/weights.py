@@ -21,11 +21,10 @@ rich-compare slot calls it without a Python frame: ``INFINITY < x`` is
 Python compares ints and floats exactly, so the second is "the binary64 image
 of x is below +inf" for every int and float, NaN and huge ints included.
 The singleton's ``+``, ``==`` and ``hash`` are Python methods, as are all the
-operators of a finite weight and of any infinite ExtendedWeight other than
-the singleton.  Their ``<``, ``>`` and ``>=`` try a plain float first; a
-weight compared with ``INFINITY`` gets the singleton's threshold as its
-operand, through the singleton's reflected method, and answers that in a fast
-branch too.
+operators of a finite weight.  A finite weight's ``<``, ``>`` and ``>=`` try a
+plain float first, and a finite weight compared with ``INFINITY`` gets the
+singleton's threshold as its operand, through the singleton's reflected
+method, and answers that in a fast branch too.
 
 The singleton's ordering operators pass an operand that is not an int or a
 float to that operand's reflected method, as ``float`` and ``int`` do: an
@@ -80,28 +79,28 @@ def _float(x) -> float:
 def _as_binary64(operand):
     """The binary64 image of a comparison operand, or None if not numeric."""
     if isinstance(operand, ExtendedWeight):
-        return math.inf if operand._value is None else operand._value
+        return operand._value
     if isinstance(operand, (int, float)):
         return _float(operand)
     return None
 
 
 class ExtendedWeight:
-    """A path cost: ``finite(v)`` with ``v >= 0``, or the ``INFINITY`` sentinel.
+    """A finite path cost, ``finite(v)`` with ``v >= 0``.
 
-    Values are immutable and hashable.  Comparisons and ``+`` accept other
-    ExtendedWeight values as well as plain numbers, interpreted by their
-    binary64 value.  The sentinel absorbs any numeric addend; finite weights
-    only accept non-negative addends, keeping results inside the domain.
+    ``INFINITY``, the one instance of a private subclass, is the only infinite
+    weight.  Values are immutable and hashable.  Comparisons and ``+`` accept
+    other ExtendedWeight values as well as plain numbers, interpreted by their
+    binary64 value.  A finite weight only accepts non-negative addends, keeping
+    results inside the domain; the sentinel absorbs any numeric addend.
     """
 
     __slots__ = ("_value",)
+    is_infinite = False
+    is_finite = True
 
-    def __init__(self, value=None):
-        """Build ``INFINITY`` (no argument) or a finite weight (prefer ``finite``)."""
-        if value is None:
-            self._value = None
-            return
+    def __init__(self, value):
+        """Build a finite weight (prefer ``finite``)."""
         if type(value) is not float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError(f"weight must be a real number, got {type(value).__name__}")
@@ -115,18 +114,8 @@ class ExtendedWeight:
         self._value = value + 0.0  # folds -0.0 into +0.0
 
     @property
-    def is_infinite(self) -> bool:
-        return self._value is None
-
-    @property
-    def is_finite(self) -> bool:
-        return self._value is not None
-
-    @property
     def value(self) -> float:
-        """The finite payload; raises on the infinity sentinel."""
-        if self._value is None:
-            raise ValueError("infinity carries no finite value")
+        """The finite payload; ``INFINITY.value`` raises ValueError."""
         return self._value
 
     def __repr__(self):
@@ -135,57 +124,49 @@ class ExtendedWeight:
     def __str__(self):
         return format_weight(self)
 
-    # IEEE comparison of binary64 images makes NaN compare false and the
-    # sentinel (+inf) dominate.  The fast branches of __lt__, __gt__, __ge__
-    # and __add__ are float expressions that agree with it, NaN included.
-    # A comparison with INFINITY arrives here through the singleton's
-    # reflected method as one with its threshold: ``w < INFINITY`` as
-    # ``w < _ROUNDS_TO_INF``, ``w >= INFINITY`` as ``w >= _ROUNDS_TO_INF``,
-    # ``w > INFINITY`` as ``w < -inf`` and ``w <= INFINITY`` as ``w >= -inf``.
+    # IEEE comparison of binary64 images makes NaN compare false.  The fast
+    # branches of __lt__, __gt__ and __ge__ are float expressions that agree
+    # with it, NaN included.  A comparison with INFINITY arrives here through
+    # the singleton's reflected method as one with its threshold:
+    # ``w < INFINITY`` as ``w < _ROUNDS_TO_INF``, ``w >= INFINITY`` as
+    # ``w >= _ROUNDS_TO_INF``, ``w > INFINITY`` as ``w < -inf`` and
+    # ``w <= INFINITY`` as ``w >= -inf``.
     def __lt__(self, other):
         if type(other) is float:
-            return self._value is not None and self._value < other
+            return self._value < other
         if other is _ROUNDS_TO_INF:
-            return self._value is not None
+            return True
         o = _as_binary64(other)
-        return NotImplemented if o is None else _as_binary64(self) < o
+        return NotImplemented if o is None else self._value < o
 
     def __le__(self, other):
         o = _as_binary64(other)
-        return NotImplemented if o is None else _as_binary64(self) <= o
+        return NotImplemented if o is None else self._value <= o
 
     def __gt__(self, other):
         if type(other) is float:
-            return other < math.inf if self._value is None else self._value > other
+            return self._value > other
         o = _as_binary64(other)
-        return NotImplemented if o is None else _as_binary64(self) > o
+        return NotImplemented if o is None else self._value > o
 
     def __ge__(self, other):
         if type(other) is float:
-            return other <= math.inf if self._value is None else self._value >= other
+            return self._value >= other
         if other is _ROUNDS_TO_INF:
-            return self._value is None
+            return False
         o = _as_binary64(other)
-        return NotImplemented if o is None else _as_binary64(self) >= o
+        return NotImplemented if o is None else self._value >= o
 
     def __eq__(self, other):
         o = _as_binary64(other)
-        return NotImplemented if o is None else _as_binary64(self) == o
+        return NotImplemented if o is None else self._value == o
 
     def __hash__(self):
-        return hash(_as_binary64(self))
+        return hash(self._value)
 
     def __add__(self, other):
-        if self._value is None and (
-            type(other) is int or (type(other) is float and other == other)
-        ):
-            return INFINITY
         o = _as_binary64(other)
-        if o is None or math.isnan(o):
-            return NotImplemented
-        if self._value is None:
-            return INFINITY
-        if o < 0:
+        if o is None or not o >= 0:  # NaN fails ``>= 0`` too
             return NotImplemented
         return from_binary64(self._value + o)
 
@@ -195,13 +176,23 @@ class ExtendedWeight:
 class _Infinity(ExtendedWeight):
     """Type of the ``INFINITY`` singleton, whose ordering runs in C.
 
-    ``<`` and ``>=`` compare the operand with ``-inf``, ``<=`` and ``>`` with
-    ``_ROUNDS_TO_INF``.  An ExtendedWeight operand makes the float or int
-    return NotImplemented and answers through its own reflected method, so
-    ``INFINITY < INFINITY`` runs ``-inf > -inf``.
+    Its payload is ``+inf``, so ``==``, ``hash`` and the module functions treat
+    it like any weight.  ``<`` and ``>=`` compare the operand with ``-inf``,
+    ``<=`` and ``>`` with ``_ROUNDS_TO_INF``.  An ExtendedWeight operand makes
+    the float or int return NotImplemented and answers through its own
+    reflected method, so ``INFINITY < INFINITY`` runs ``-inf > -inf``.
     """
 
     __slots__ = ()
+    is_infinite = True
+    is_finite = False
+
+    def __init__(self):
+        self._value = math.inf
+
+    @property
+    def value(self) -> float:
+        raise ValueError("infinity carries no finite value")
 
     # staticmethod keeps each partial unbound: called with the operand only.
     # Newer CPythons warn that a bare partial in a class will bind like a method.
@@ -209,6 +200,15 @@ class _Infinity(ExtendedWeight):
     __le__ = staticmethod(partial(operator.le, _ROUNDS_TO_INF))
     __gt__ = staticmethod(partial(operator.gt, _ROUNDS_TO_INF))
     __ge__ = staticmethod(partial(operator.le, -math.inf))
+
+    def __add__(self, other):
+        # Absorbs any numeric addend; NaN and non-numbers are refused.
+        if type(other) is int or (type(other) is float and other == other):
+            return self
+        o = _as_binary64(other)
+        return NotImplemented if o is None or math.isnan(o) else self
+
+    __radd__ = __add__
 
     def __reduce__(self):
         # copy and pickle hand back the module-level singleton.
@@ -227,7 +227,7 @@ def compare(a: ExtendedWeight, b: ExtendedWeight) -> Ordering:
     """Total order: the sentinel dominates every finite weight and equals itself."""
     if not isinstance(a, ExtendedWeight) or not isinstance(b, ExtendedWeight):
         raise TypeError("compare expects two ExtendedWeight values")
-    x, y = _as_binary64(a), _as_binary64(b)
+    x, y = a._value, b._value
     return Ordering((x > y) - (x < y))
 
 
@@ -235,14 +235,14 @@ def add(a: ExtendedWeight, b: ExtendedWeight) -> ExtendedWeight:
     """Sum of two weights; the sentinel absorbs, finite overflow saturates to it."""
     if not isinstance(a, ExtendedWeight) or not isinstance(b, ExtendedWeight):
         raise TypeError("add expects two ExtendedWeight values")
-    return from_binary64(_as_binary64(a) + _as_binary64(b))
+    return from_binary64(a._value + b._value)
 
 
 def to_binary64(a: ExtendedWeight) -> float:
     """IEEE-754 binary64 image: +inf for the sentinel, the payload otherwise."""
     if not isinstance(a, ExtendedWeight):
         raise TypeError("to_binary64 expects an ExtendedWeight")
-    return math.inf if a._value is None else a._value
+    return a._value
 
 
 def from_binary64(x) -> ExtendedWeight:
@@ -266,18 +266,14 @@ def format_weight(w: ExtendedWeight) -> str:
     """Textual form: ``inf`` for the sentinel, a minimal decimal otherwise."""
     if not isinstance(w, ExtendedWeight):
         raise TypeError("format_weight expects an ExtendedWeight")
-    if w._value is None:
-        return "inf"
     return str(canonical_number(w._value))
 
 
 def parse_weight(text: str) -> ExtendedWeight:
-    """Parse ``format_weight`` output; ``inf`` is matched case-insensitively."""
-    t = text.strip()
-    if t.lower() == "inf":
-        return INFINITY
+    """Parse ``format_weight`` output as ``float`` reads it, so ``inf`` and
+    ``infinity`` match in any case and surrounding whitespace is ignored."""
     try:
-        x = float(t)
+        x = float(text)
     except ValueError:
         raise ValueError(f"not a weight: {text!r}") from None
     return from_binary64(x)

@@ -23,7 +23,7 @@ from extinf.shortest_path import (
     get_domain,
     linear_scan_distances,
 )
-from extinf.weights import INFINITY, finite
+from extinf.weights import INFINITY, finite, from_binary64, parse_weight
 from helpers import enumerate_shortest, reachable
 
 
@@ -146,8 +146,14 @@ class TestDomains:
 
     @pytest.mark.parametrize(
         "copier",
-        [copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
-        ids=["copy", "deepcopy", "pickle"],
+        [
+            copy.copy,
+            copy.deepcopy,
+            lambda w: pickle.loads(pickle.dumps(w)),
+            lambda w: from_binary64(math.inf),
+            lambda w: parse_weight("inf"),
+        ],
+        ids=["copy", "deepcopy", "pickle", "from_binary64", "parse_weight"],
     )
     def test_copied_sentinel_marks_unreachable(self, copier):
         graph = fixture("Disconnected_Graph_1")

@@ -233,7 +233,7 @@ _EDGE_OPERANDS = (
     (math.nan, 0.0, -0.0, math.inf, -math.inf, _TINY, -_TINY, 1.0, -1.0, _MAX)
     + (0, 1, -1, 2**53 + 1, 10**300)
     + (2**1024 - 2**970 - 1, 2**1024 - 2**970, 10**400, -(10**400))
-    + (INFINITY, ExtendedWeight(), finite(0), finite(1.0), finite(_MAX))
+    + (INFINITY, finite(0), finite(1.0), finite(_MAX))
     + _NON_NUMBERS
 )
 _operands = st.one_of(
@@ -310,14 +310,6 @@ class TestOperatorSemantics:
         _check_operators(w, v)
 
 
-def _outcome(op, x, y):
-    """op(x, y), or TypeError when it raises one."""
-    try:
-        return op(x, y)
-    except TypeError:
-        return TypeError
-
-
 def _pickled(protocol):
     return lambda w: pickle.loads(pickle.dumps(w, protocol))
 
@@ -377,30 +369,34 @@ class TestSingleton:
         assert calls == ["<lambda>"] + methods
         assert results == (False, True, True, True, False, True, False)
 
+    def test_addition_hash_and_equality_run_one_method(self):
+        # The Python operators read the +inf payload with no branch on the
+        # kind of weight: + answers int and float addends in __add__ alone,
+        # and == converts only its operand.
+        results, calls = _python_calls(lambda: (INFINITY + 1.0, INFINITY + 3))
+        assert calls == ["<lambda>", "__add__", "__add__"]
+        assert results == (INFINITY, INFINITY)
+        result, calls = _python_calls(lambda: hash(INFINITY))
+        assert calls == ["<lambda>", "__hash__"] and result == hash(math.inf)
+        result, calls = _python_calls(lambda: INFINITY == INFINITY)
+        assert calls == ["<lambda>", "__eq__", "_as_binary64"] and result is True
+
     def test_type_repr_and_hash(self):
         assert type(INFINITY) is not ExtendedWeight
         assert type(INFINITY).__bases__ == (ExtendedWeight,)
         assert isinstance(INFINITY, ExtendedWeight) and not isinstance(INFINITY, float)
-        assert repr(INFINITY) == repr(ExtendedWeight()) == "ExtendedWeight(inf)"
-        assert hash(INFINITY) == hash(ExtendedWeight()) == hash(math.inf)
-
-    def test_agrees_with_a_non_singleton_infinity(self):
-        twin = ExtendedWeight()
-        assert twin is not INFINITY and twin == INFINITY
-        for op in _COMPARISONS + (operator.add,):
-            for v in _EDGE_OPERANDS:
-                assert _outcome(op, INFINITY, v) == _outcome(op, twin, v), (op, v)
-                assert _outcome(op, v, INFINITY) == _outcome(op, v, twin), (op, v)
+        assert repr(INFINITY) == "ExtendedWeight(inf)"
+        assert hash(INFINITY) == hash(math.inf)
+        with pytest.raises(TypeError):
+            ExtendedWeight()
 
     def test_other_numbers_answer_through_their_reflected_methods(self):
         # The thresholds hand a Fraction or Decimal to its own comparison
-        # with -inf or 2**1024 - 2**970; the Python path refuses them.
+        # with -inf or 2**1024 - 2**970.
         for v in (Fraction(1, 3), decimal.Decimal("0.5")):
             with decimal.localcontext():
                 assert [op(INFINITY, v) for op in _COMPARISONS[:4]] == [False, False, True, True]
                 assert v < INFINITY and not v > INFINITY
-            with pytest.raises(TypeError):
-                ExtendedWeight() < v
         assert not INFINITY > Fraction(2**1024 - 2**970)
         assert INFINITY >= Fraction(2**1024 - 2**970)
 
@@ -411,8 +407,6 @@ class TestSingleton:
             INFINITY > "3"
         with pytest.raises(TypeError, match="'int' and 'NoneType'"):
             None < INFINITY
-        with pytest.raises(TypeError, match="'ExtendedWeight' and 'str'"):
-            ExtendedWeight() < "3"
 
 
 class TestRendering:
@@ -423,7 +417,9 @@ class TestRendering:
         assert format_weight(finite(2.0)) == "2"
         assert format_weight(finite(2.5)) == "2.5"
 
-    @pytest.mark.parametrize("text", ["inf", "INF", "Inf", "  inf  "])
+    @pytest.mark.parametrize(
+        "text", ["inf", "INF", "Inf", "  inf  ", "infinity", "+Inf", "\tinf\n"]
+    )
     def test_parse_inf_case_insensitive(self, text):
         assert parse_weight(text) is INFINITY
 
