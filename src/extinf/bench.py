@@ -152,8 +152,8 @@ def run_comparison(entries, iterations: int = 50_000, repetitions: int = 2, alph
     entries = list(entries)
     if not entries:
         raise ValueError("run_comparison needs at least one graph")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be at least 1, got {repetitions!r}")
+    if not isinstance(repetitions, int) or isinstance(repetitions, bool) or repetitions < 1:
+        raise ValueError(f"repetitions must be a positive integer, got {repetitions!r}")
     if len(entries) * repetitions < 2:
         raise ValueError("need at least two samples per arm overall")
     for graph_id, graph, source in entries:

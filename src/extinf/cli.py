@@ -118,17 +118,6 @@ def _resolve_seed(flag_value):
         raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _default_source(graph, graph_id):
-    if not graph:
-        raise ValueError(f"graph {graph_id!r} has no nodes")
-    return min(graph)
-
-
-def _load_graph_file(path):
-    with open(path, encoding="utf-8") as handle:
-        return graphs.parse_graph(handle.read())
-
-
 def cmd_gen(args) -> int:
     try:
         lo, hi = (int(part) for part in args.weight_range.split(","))
@@ -159,19 +148,34 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _single_graph(args):
-    if (args.graph is None) == (args.fixture is None):
-        raise _UsageError("pass exactly one of --graph or --fixture")
-    if args.fixture is not None:
-        return args.fixture, fixture(args.fixture)
-    return args.graph, _load_graph_file(args.graph)
+def _entries(names, paths, source):
+    """(graph_id, graph, source) for each named fixture, then each graph file.
+
+    A source of None means each graph's smallest node id.  A graph file that
+    cannot be decoded or parsed is an error that names the file.
+    """
+    loaded = [(name, fixture(name)) for name in names]
+    for path in paths:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                loaded.append((path, graphs.parse_graph(handle.read())))
+        except (UnicodeDecodeError, graphs.GraphParseError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    entries = []
+    for graph_id, graph in loaded:
+        if source is None and not graph:
+            raise ValueError(f"graph {graph_id!r} has no nodes")
+        entries.append((graph_id, graph, min(graph) if source is None else source))
+    return entries
 
 
 def cmd_run(args) -> int:
     if args.iterations < 1 or args.repetitions < 1:
         raise _UsageError("--iterations and --repetitions must be at least 1")
-    graph_id, graph = _single_graph(args)
-    source = args.source if args.source is not None else _default_source(graph, graph_id)
+    if (args.graph is None) == (args.fixture is None):
+        raise _UsageError("pass exactly one of --graph or --fixture")
+    names, paths = ([args.fixture], []) if args.graph is None else ([], [args.graph])
+    [(graph_id, graph, source)] = _entries(names, paths, args.source)
     samples = [
         bench.time_dijkstra(
             graph, source, args.domain, args.iterations, graph_id=graph_id
@@ -182,33 +186,20 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _compare_entries(args):
-    entries = []
+def cmd_compare(args) -> int:
+    if args.iterations < 1 or args.repetitions < 1:
+        raise _UsageError("--iterations and --repetitions must be at least 1")
+    if not 0.0 < args.alpha < 1.0:
+        raise _UsageError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     names = []
     if args.fixtures:
         if args.fixtures.strip() == "all":
             names = primary_fixture_names()
         else:
             names = [name.strip() for name in args.fixtures.split(",")]
-    for name in names:
-        entries.append((name, fixture(name)))
-    for path in args.graph:
-        entries.append((path, _load_graph_file(path)))
-    if not entries:
+    if not names and not args.graph:
         raise _UsageError("compare needs --fixtures and/or --graph")
-    resolved = []
-    for graph_id, graph in entries:
-        source = args.source if args.source is not None else _default_source(graph, graph_id)
-        resolved.append((graph_id, graph, source))
-    return resolved
-
-
-def cmd_compare(args) -> int:
-    if args.iterations < 1 or args.repetitions < 1:
-        raise _UsageError("--iterations and --repetitions must be at least 1")
-    if not 0.0 < args.alpha < 1.0:
-        raise _UsageError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
-    entries = _compare_entries(args)
+    entries = _entries(names, args.graph, args.source)
     if len(entries) * args.repetitions < 2:
         raise _UsageError("need at least two samples per arm; raise --repetitions")
     rows, report = bench.run_comparison(

@@ -9,6 +9,8 @@ caller's job, via the regular graph JSON format.
 
 from collections import namedtuple
 
+from .generators import KINDS
+
 __all__ = [
     "CATEGORIES",
     "CATEGORY_FIXTURES",
@@ -122,19 +124,8 @@ _FIXTURES = {
 
 FIXTURE_NAMES = tuple(_FIXTURES)
 
-# Category id -> its two fixture variants, in the bundled order.
-CATEGORY_FIXTURES = {
-    "linear_chain": ("Linear_Chain_1", "Linear_Chain_2"),
-    "sparse_tree": ("Sparse_Tree_1", "Sparse_Tree_2"),
-    "dense": ("Dense_Graph_1", "Dense_Graph_2"),
-    "star": ("Star_Graph_1", "Star_Graph_2"),
-    "disconnected": ("Disconnected_Graph_1", "Disconnected_Graph_2"),
-    "cycle": ("Cycle_Graph_1", "Cycle_Graph_2"),
-    "equal_weights": ("Equal_Weights_1", "Equal_Weights_2"),
-    "grid": ("Large_Uniform_Graph_1", "Large_Uniform_Graph_2"),
-    "worst_case_tie": ("Worst_Case_Tie_1", "Worst_Case_Tie_2"),
-    "real_world_like": ("Real_World_Like_1", "Real_World_Like_2"),
-}
+# Category id -> its two fixture variants: _FIXTURES lists the pairs in KINDS order.
+CATEGORY_FIXTURES = dict(zip(KINDS, zip(FIXTURE_NAMES[::2], FIXTURE_NAMES[1::2])))
 
 CATEGORIES = tuple(CATEGORY_FIXTURES)
 

@@ -19,7 +19,8 @@ to 512; each size's lane constants are built the first time it is used.
 
 The ``_KINDS`` table at the end of the module is the single definition of a
 kind: its builder, its fewest nodes and whether it takes explicit weights.
-``KINDS`` is the table's key order, which also seeds the benchmark's graphs.
+``KINDS`` is the table's key order, which also seeds the benchmark's graphs
+and orders the bundled fixture categories, which come in pairs.
 """
 
 import math
@@ -130,7 +131,7 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind node_count weight_range se
         floor = 0 if kind == "equal_weights" else 1
         if lo < floor or hi < lo:
             raise ValueError(f"bad weight_range for {kind!r}: {weight_range!r}")
-        if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         if weights is not None:
             if edge_count is None:

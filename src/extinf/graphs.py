@@ -11,7 +11,8 @@ always serialize to identical bytes.
 ``parse_graph`` and ``validate`` check every edge weight, so both loops first
 try one inline test that accepts a plain ``float`` or ``int`` in range without
 a function call; it accepts only weights that ``_check_weight`` accepts, and
-every other weight goes to ``_check_weight``, which words the error.  The rule
+every other weight goes to ``_check_weight``, which words the error.  Its int
+bound is ``weights._ROUNDS_TO_INF``, the smallest int that rounds to +inf.  The rule
 itself is ``_weight_problem``, which ``generators`` shares for explicit weights.
 
 ``emit_graph`` writes the bytes of ``json.dumps(doc, sort_keys=True,
@@ -29,10 +30,9 @@ by an inline test without a function call.
 import itertools
 import json
 import math
-import sys
 import warnings
 
-from .weights import _MAX_EXACT_INT, canonical_number
+from .weights import _MAX_EXACT_INT, _ROUNDS_TO_INF, canonical_number
 
 __all__ = [
     "DanglingTargetWarning",
@@ -59,11 +59,6 @@ class InvalidGraphError(ValueError):
 
 class DanglingTargetWarning(UserWarning):
     """An edge target that was missing from the key set and got auto-added."""
-
-
-# Largest int whose conversion to binary64 is exact and finite; larger ints,
-# even the few that still round to a finite float, go to _check_weight.
-_MAX_INT = int(sys.float_info.max)
 
 
 def _weight_problem(weight):
@@ -111,7 +106,7 @@ def parse_graph(text: str) -> dict:
         for neighbor, w in neighbors.items():
             if not (
                 (type(w) is float and 0.0 <= w < math.inf)
-                or (type(w) is int and 0 <= w <= _MAX_INT)
+                or (type(w) is int and 0 <= w < _ROUNDS_TO_INF)
             ):
                 problem = _check_weight(node, neighbor, w)
                 if problem is not None:
@@ -197,7 +192,7 @@ def validate(graph: dict) -> list:
                 )
             if not (
                 (type(w) is float and 0.0 <= w < math.inf)
-                or (type(w) is int and 0 <= w <= _MAX_INT)
+                or (type(w) is int and 0 <= w < _ROUNDS_TO_INF)
             ):
                 problem = _check_weight(node, neighbor, w)
                 if problem is not None:

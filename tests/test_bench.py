@@ -190,6 +190,9 @@ class TestRunComparison:
             run_comparison([], iterations=1)
         with pytest.raises(ValueError, match="repetitions"):
             run_comparison([entry], iterations=1, repetitions=0)
+        for repetitions in (True, 1.5):
+            with pytest.raises(ValueError, match="repetitions"):
+                run_comparison([entry, entry], iterations=1, repetitions=repetitions)
         with pytest.raises(ValueError, match="two samples per arm"):
             run_comparison([entry], iterations=1, repetitions=1)
 

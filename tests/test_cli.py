@@ -239,6 +239,28 @@ class TestCompare:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"A": {"B": ', "malformed JSON"),
+            (b'{"A": {"B": -1}, "B": {}}', "negative weight -1"),
+            (b'{"A\xff": {}}', "codec can't decode byte 0xff"),
+        ],
+        ids=["truncated", "negative-weight", "not-utf8"],
+    )
+    def test_bad_graph_file_names_the_file(self, capsys, tmp_path, content, message):
+        good = tmp_path / "good.json"
+        good.write_text('{"A":{"B":2},"B":{}}')
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        for argv in (
+            ["compare", "--graph", str(good), "--graph", str(bad)],
+            ["run", "--graph", str(bad)],
+        ):
+            code, _, err = run_cli(capsys, *argv, "--iterations", "1")
+            assert code == 1
+            assert err.startswith(f"error: {bad}: ") and message in err
+
 
 class TestTtest:
     def _write_samples(self, path, values):

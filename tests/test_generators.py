@@ -205,6 +205,8 @@ class TestSpecValidation:
             GeneratorSpec(kind="dense", node_count=4, seed=-1)
         with pytest.raises(ValueError, match="seed"):
             GeneratorSpec(kind="dense", node_count=4, seed=2**64)
+        with pytest.raises(ValueError, match="seed"):
+            GeneratorSpec(kind="grid", node_count=4, seed=True)
 
     def test_explicit_weights_wrong_count(self):
         with pytest.raises(ValueError, match="needs 3 weights"):
