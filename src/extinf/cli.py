@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import bench, generators, graphs, stats
 from .fixtures import FIXTURE_NAMES, ROAD_ROUTES, fixture, primary_fixture_names
@@ -152,15 +153,21 @@ def _entries(names, paths, source):
     """(graph_id, graph, source) for each named fixture, then each graph file.
 
     A source of None means each graph's smallest node id.  A graph file that
-    cannot be decoded or parsed is an error that names the file.
+    cannot be decoded or parsed is an error that names the file, and so is
+    each warning its parse gives.
     """
     loaded = [(name, fixture(name)) for name in names]
     for path in paths:
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8") as handle, warnings.catch_warnings(
+                record=True
+            ) as caught:
+                warnings.simplefilter("always")
                 loaded.append((path, graphs.parse_graph(handle.read())))
         except (UnicodeDecodeError, graphs.GraphParseError) as exc:
             raise ValueError(f"{path}: {exc}") from None
+        for warning in caught:
+            warnings.warn(f"{path}: {warning.message}", warning.category)
     entries = []
     for graph_id, graph in loaded:
         if source is None and not graph:

@@ -17,6 +17,18 @@ product carries into the next lane, and unpacks the low words through a
 start at 16 outputs, so a small graph mixes few it never reads, and double up
 to 512; each size's lane constants are built the first time it is used.
 
+``SplitMix64.randints`` draws many bounded values at once without a call per
+draw.  For a span below 256 the rejection mask fits in a byte, and only an
+output's low byte decides both its value and whether it is kept, so each
+block also keeps its lanes' low bytes as one ``bytes`` object.  One
+``bytes.translate`` with a cached 256-byte table and a delete set then masks,
+offsets and rejects the whole unread block in C.  The stream invariant: the
+values returned, and the next output the generator yields afterwards, are
+exactly those of the same number of ``randint`` calls.  When a block holds
+more accepted outputs than the call still needs, it is cut right after the
+last one taken, found by bisecting on the lengths of the filtered prefixes,
+so the rejected outputs that follow stay unread for the next draw.
+
 The ``_KINDS`` table at the end of the module is the single definition of a
 kind: its builder, its fewest nodes and whether it takes explicit weights.
 ``KINDS`` is the table's key order, which also seeds the benchmark's graphs
@@ -26,6 +38,8 @@ and orders the bundled fixture categories, which come in pairs.
 import math
 import sys
 from collections import namedtuple
+from functools import partial
+from itertools import compress, filterfalse, islice
 
 from .graphs import _weight_problem
 
@@ -40,7 +54,10 @@ _LAST_BLOCK = 512
 # last output to its first; the slice reads them in that order in the bytes
 # of either byte order.
 _LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+# The low byte of each lane, read from the block's first output to its last.
+_LOW_BYTES = slice(-16, None, -16) if sys.byteorder == "little" else slice(15, None, 16)
 _lanes = {}  # block size -> (1 in each lane, gamma times each lane's steps, lane mask)
+_filters = {}  # (base, span) -> (translate table, delete set) of randints' byte filter
 
 
 def _lane_constants(n):
@@ -52,15 +69,29 @@ def _lane_constants(n):
     return constants
 
 
+def _byte_filter(base, span):
+    """Table mapping a low byte to base plus its masked value, and the bytes
+    whose masked value is rejected; randint's mask and rule for a span below 256."""
+    pair = _filters.get((base, span))
+    if pair is None:
+        mask = (1 << span.bit_length()) - 1
+        table = bytes((base + (b & mask)) & 0xFF for b in range(256))
+        delete = bytes(b for b in range(256) if b & mask >= span)
+        pair = _filters[base, span] = (table, delete)
+    return pair
+
+
 class SplitMix64:
     """SplitMix64 generator; unbiased bounded draws via power-of-two rejection."""
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64  # state of the last output mixed so far
         self._block = []  # mixed outputs not yet read, last first
+        self._low = b""  # low byte of each output of the block, first first
         self._block_size = _FIRST_BLOCK
 
     def _mix_block(self):
+        """Mix the next block of outputs and return its lanes' bytes."""
         n = self._block_size
         ones, steps, mask = _lane_constants(n)
         z = (self._state * ones + steps) & mask
@@ -69,12 +100,16 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
         z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
         z ^= z >> 31  # the bits this leaves in the high words are never read
-        words = memoryview(z.to_bytes(16 * n, sys.byteorder)).cast("Q")
-        self._block = words[_LOW_WORDS].tolist()
+        return z.to_bytes(16 * n, sys.byteorder)
+
+    def _hold(self, raw):
+        """Make a mixed block the unread one."""
+        self._block = memoryview(raw).cast("Q")[_LOW_WORDS].tolist()
+        self._low = raw[_LOW_BYTES]
 
     def next_u64(self) -> int:
         if not self._block:
-            self._mix_block()
+            self._hold(self._mix_block())
         return self._block.pop()
 
     def randint(self, lo: int, hi: int) -> int:
@@ -89,6 +124,8 @@ class SplitMix64:
         as it is on purpose.
         """
         span = hi - lo + 1
+        if span < 1:
+            raise ValueError(f"empty range: randint({lo}, {hi})")
         mask = (1 << span.bit_length()) - 1
         if span <= 1 << 64:
             while True:
@@ -101,6 +138,49 @@ class SplitMix64:
             v = sum(self.next_u64() << 64 * i for i in words) & mask
             if v < span:
                 return lo + v
+
+    def randints(self, lo: int, hi: int, count: int) -> list:
+        """``[self.randint(lo, hi) for _ in range(count)]``, a block at a time.
+
+        The stream is left on the same next output as those calls would
+        leave it.  Spans of 256 and more, and single draws, go through
+        ``randint``.
+        """
+        span = hi - lo + 1
+        if count < 2 or span < 1 or span.bit_length() > 8:
+            return [self.randint(lo, hi) for _ in range(count)]
+        # Fold lo into the table when every value fits in a byte.
+        base = lo if 0 <= lo and hi <= 0xFF else 0
+        table, delete = _byte_filter(base, span)
+        drawn = bytearray()
+        while True:
+            if self._block:
+                unread = self._low[-len(self._block) :]
+            else:  # a block read to its end is never unpacked into ints
+                raw = self._mix_block()
+                unread = raw[_LOW_BYTES]
+            accepted = unread.translate(table, delete)
+            need = count - len(drawn)
+            if len(accepted) >= need:
+                break
+            drawn += accepted
+            self._block.clear()
+        # Read up to the need-th accepted output only, so that rejected ones
+        # after it stay unread: bisect for the shortest prefix that keeps need.
+        short, enough = need - 1, len(unread)
+        while enough - short > 1:
+            middle = (short + enough) // 2
+            if len(unread[:middle].translate(None, delete)) < need:
+                short = middle
+            else:
+                enough = middle
+        if not self._block:
+            self._hold(raw)
+        del self._block[-enough:]
+        drawn += accepted[:need]
+        if base == lo:
+            return list(drawn)
+        return list(map(lo.__add__, drawn))
 
 
 class GeneratorSpec(namedtuple("GeneratorSpec", "kind node_count weight_range seed weights")):
@@ -161,39 +241,43 @@ def generate(spec: GeneratorSpec) -> dict:
     """Build the graph described by spec; deterministic in all fields."""
     rng = SplitMix64(spec.seed)
     lo, hi = spec.weight_range
+    # weights(count) is the next count edge weights as a list, next_weight()
+    # the next one; builders that draw other values between weights use it.
     if spec.weights is not None:
         supply = iter(spec.weights)
-        next_weight = lambda: next(supply)
+        weights, next_weight = lambda count: list(islice(supply, count)), supply.__next__
     elif spec.kind == "equal_weights":
-        next_weight = lambda: lo
+        weights, next_weight = lambda count: [lo] * count, lambda: lo
     else:
-        next_weight = lambda: rng.randint(lo, hi)
+        weights, next_weight = partial(rng.randints, lo, hi), partial(rng.randint, lo, hi)
     names = _node_names(spec.node_count)
     build, _, _ = _KINDS[spec.kind]
-    return build(names, rng, next_weight)
+    return build(names, rng, weights, next_weight)
 
 
-def _build_linear_chain(names, rng, next_weight):
+def _chain(names, chain_weights):
     graph = {name: {} for name in names}
-    for a, b in zip(names, names[1:]):
-        graph[a][b] = next_weight()
+    for a, b, w in zip(names, names[1:], chain_weights):
+        graph[a][b] = w
     return graph
 
 
-def _build_cycle(names, rng, next_weight):
-    graph = _build_linear_chain(names, rng, next_weight)
-    graph[names[-1]][names[0]] = next_weight()
-    return graph
+def _build_linear_chain(names, rng, weights, next_weight):
+    return _chain(names, weights(len(names) - 1))
 
 
-def _build_star(names, rng, next_weight):
+def _build_cycle(names, rng, weights, next_weight):
+    # A chain back to the first node, whose graph key keeps its first place.
+    return _chain(names + names[:1], weights(len(names)))
+
+
+def _build_star(names, rng, weights, next_weight):
     graph = {name: {} for name in names}
-    for leaf in names[1:]:
-        graph[names[0]][leaf] = next_weight()
+    graph[names[0]].update(zip(names[1:], weights(len(names) - 1)))
     return graph
 
 
-def _build_sparse_tree(names, rng, next_weight):
+def _build_sparse_tree(names, rng, weights, next_weight):
     graph = {name: {} for name in names}
     for i in range(1, len(names)):
         parent = names[rng.randint(0, i - 1)]
@@ -201,55 +285,61 @@ def _build_sparse_tree(names, rng, next_weight):
     return graph
 
 
-def _build_dense(names, rng, next_weight):
+def _build_dense(names, rng, weights, next_weight):
     # Complete digraph with symmetric weights.
     graph = {name: {} for name in names}
+    drawn = iter(weights(len(names) * (len(names) - 1) // 2))
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            w = next_weight()
+            w = next(drawn)
             graph[a][b] = w
             graph[b][a] = w
     return graph
 
 
-def _build_disconnected(names, rng, next_weight):
+def _build_disconnected(names, rng, weights, next_weight):
     split = rng.randint(1, len(names) - 1)
-    graph = _build_linear_chain(names[:split], rng, next_weight)
-    graph.update(_build_linear_chain(names[split:], rng, next_weight))
+    drawn = weights(len(names) - 2)
+    graph = _chain(names[:split], drawn[: split - 1])
+    graph.update(_chain(names[split:], drawn[split - 1 :]))
     return graph
 
 
-def _build_equal_weights(names, rng, next_weight):
+def _build_equal_weights(names, rng, weights, next_weight):
     # Random tree plus occasional extra forward edges, one shared weight.
-    graph = _build_sparse_tree(names, rng, next_weight)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if names[j] not in graph[names[i]] and rng.randint(0, 3) == 0:
-                graph[names[i]][names[j]] = next_weight()
+    # Every forward pair that is not a tree edge, row by row, draws a flip of
+    # randint(0, 3), and a 0 links it; the tree's n - 1 edges are all forward.
+    graph = _build_sparse_tree(names, rng, weights, next_weight)
+    links = map((0).__eq__, rng.randints(0, 3, (len(names) - 1) * (len(names) - 2) // 2))
+    for i, a in enumerate(names):
+        # compress reads one flip per free target, so each row reads its own.
+        linked = list(compress(filterfalse(graph[a].__contains__, names[i + 1 :]), links))
+        graph[a].update(zip(linked, weights(len(linked))))
     return graph
 
 
-def _build_grid(names, rng, next_weight):
+def _build_grid(names, rng, weights, next_weight):
     # Four-neighbor lattice; each undirected edge gets one symmetric weight.
     side = math.isqrt(len(names))
     graph = {name: {} for name in names}
+    drawn = iter(weights(2 * side * (side - 1)))
     for r in range(side):
         for c in range(side):
             here = names[r * side + c]
             if c + 1 < side:
                 right = names[r * side + c + 1]
-                w = next_weight()
+                w = next(drawn)
                 graph[here][right] = w
                 graph[right][here] = w
             if r + 1 < side:
                 below = names[(r + 1) * side + c]
-                w = next_weight()
+                w = next(drawn)
                 graph[here][below] = w
                 graph[below][here] = w
     return graph
 
 
-def _build_worst_case_tie(names, rng, next_weight):
+def _build_worst_case_tie(names, rng, weights, next_weight):
     # Every source->middle->sink path costs the same, stressing tie-breaking.
     w = next_weight()
     source, sink = names[0], names[-1]
@@ -260,7 +350,7 @@ def _build_worst_case_tie(names, rng, next_weight):
     return graph
 
 
-def _build_real_world_like(names, rng, next_weight):
+def _build_real_world_like(names, rng, weights, next_weight):
     # Layered DAG rooted at the first node, like errands radiating from home.
     layers = [[names[0]]]
     rest = names[1:]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import extinf.bench as bench
 from extinf.cli import main
 from extinf.fixtures import fixture
-from extinf.graphs import parse_graph
+from extinf.graphs import DanglingTargetWarning, parse_graph
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +260,21 @@ class TestCompare:
             code, _, err = run_cli(capsys, *argv, "--iterations", "1")
             assert code == 1
             assert err.startswith(f"error: {bad}: ") and message in err
+
+    def test_dangling_target_warning_names_the_file(self, capsys, tmp_path):
+        first, second = tmp_path / "d1.json", tmp_path / "d2.json"
+        first.write_text('{"A":{"B":2}}')
+        second.write_text('{"A":{"C":1},"B":{}}')
+        with pytest.warns(DanglingTargetWarning) as record:
+            code, _, _ = run_cli(
+                capsys, "compare", "--graph", str(first), "--graph", str(second),
+                "--iterations", "1", "--format", "json",
+            )
+        assert code == 0
+        assert [str(w.message) for w in record] == [
+            f"{first}: auto-added 1 node(s) that only appeared as edge targets: 'B'",
+            f"{second}: auto-added 1 node(s) that only appeared as edge targets: 'C'",
+        ]
 
 
 class TestTtest:

@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extinf.fixtures import CATEGORIES, fixture
 from extinf.generators import KINDS, GeneratorSpec, SplitMix64, generate
@@ -36,6 +38,15 @@ def test_splitmix64_randint_covers_spans_wider_than_one_output():
     draws = [rng.randint(0, 2**70) for _ in range(2000)]
     assert all(0 <= v <= 2**70 for v in draws)
     assert any(v >= 2**64 for v in draws)
+
+
+def test_splitmix64_empty_range_is_an_error():
+    rng = SplitMix64(123)
+    with pytest.raises(ValueError, match=r"^empty range: randint\(5, 4\)$"):
+        rng.randint(5, 4)
+    with pytest.raises(ValueError, match="empty range"):
+        rng.randints(5, 4, 3)
+    assert rng.randints(5, 4, 0) == []
 
 
 class _ScalarSplitMix64:
@@ -88,6 +99,56 @@ def test_randint_draws_match_scalar_splitmix64(seed):
     assert rng.next_u64() == reference.next_u64()
 
 
+# randints' byte filter covers spans up to 255; 256 and 257 are the first
+# spans past it, 2**64 and 2**64 + 1 the last of one output and the first of two.
+RANDINTS_SPANS = (1, 4, 10, 255, 256, 257, 2**64, 2**64 + 1)
+
+
+@pytest.mark.parametrize("span", (1, 4, 10, 255))
+@pytest.mark.parametrize("read_first", (0, 5))
+def test_randints_matches_randint_at_every_count(span, read_first):
+    # Counts up to 70 end the call in each of the first few blocks (16, 32, 64
+    # and 128 outputs), so some take a block's last accepted output while
+    # rejected ones follow it; those must stay unread.
+    for count in range(70):
+        rng, reference = SplitMix64(9), _ScalarSplitMix64(9)
+        for _ in range(read_first):
+            assert rng.next_u64() == reference.next_u64()
+        expected = [reference.randint(2, span + 1) for _ in range(count)]
+        assert rng.randints(2, span + 1, count) == expected
+        assert rng.next_u64() == reference.next_u64(), f"count={count}"
+
+
+_randint_steps = st.one_of(
+    st.tuples(st.just("next_u64")),
+    st.tuples(
+        st.sampled_from(("randint", "randints")),
+        st.sampled_from((-7, 0, 1, 200, 2**64)),
+        st.sampled_from(RANDINTS_SPANS),
+        st.one_of(st.sampled_from((0, 1, 2)), st.integers(3, 40), st.integers(513, 1200)),
+    ),
+)
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(_randint_steps, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_randints_interleaved_with_other_draws_matches_scalar_splitmix64(seed, steps):
+    rng, reference = SplitMix64(seed), _ScalarSplitMix64(seed)
+    for step in steps:
+        if step[0] == "next_u64":
+            assert rng.next_u64() == reference.next_u64()
+            continue
+        name, lo, span, count = step
+        hi = lo + span - 1
+        expected = [reference.randint(lo, hi) for _ in range(count)]
+        if name == "randint":
+            assert [rng.randint(lo, hi) for _ in range(count)] == expected
+        else:
+            assert rng.randints(lo, hi, count) == expected
+        # The next output shows whether the stream stopped where randint would.
+        assert rng.next_u64() == reference.next_u64()
+
+
 def test_kinds_keep_their_order():
     # The benchmark seeds each graph by its kind's index in KINDS.
     assert KINDS == (
@@ -125,6 +186,27 @@ def test_generated_bytes_are_pinned():
         digest.update(emit_graph(generate(spec)).encode())
     assert digest.hexdigest() == (
         "c3c7ff7f06d032bb4deba166cdb4cb3016bbecc89d149fdf6cbeff490db2d8f9"
+    )
+
+
+def test_benchmark_sized_bytes_are_pinned():
+    # The graph kinds and sizes of the benchmark's generated workloads, and
+    # the largest grid; the digest was taken before generation drew in blocks.
+    digest = hashlib.sha256()
+    for kind, node_count in (
+        ("dense", 100),
+        ("equal_weights", 200),
+        ("grid", 400),
+        ("sparse_tree", 400),
+        ("real_world_like", 400),
+        ("disconnected", 400),
+        ("grid", 1600),
+    ):
+        for seed in (0, 12345, 2**64 - 1):
+            spec = GeneratorSpec(kind, node_count, seed=seed)
+            digest.update(emit_graph(generate(spec)).encode())
+    assert digest.hexdigest() == (
+        "9d717b1a8e408f0136c78495d85294da1903405d91394a087d08c565927bad12"
     )
 
 
