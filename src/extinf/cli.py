@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--weights",
         metavar="W1,W2,...",
-        help="explicit per-edge weights (linear_chain, star, cycle only)",
+        help=f"explicit per-edge weights ({', '.join(generators._EXPLICIT_WEIGHT_KINDS)} only)",
     )
     gen.add_argument(
         "--seed", type=int, metavar="S", help=f"defaults to ${SEED_ENV_VAR}, then 0"

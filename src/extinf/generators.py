@@ -26,8 +26,9 @@ offsets and rejects the whole unread block in C.  The stream invariant: the
 values returned, and the next output the generator yields afterwards, are
 exactly those of the same number of ``randint`` calls.  When a block holds
 more accepted outputs than the call still needs, it is cut right after the
-last one taken, found by bisecting on the lengths of the filtered prefixes,
-so the rejected outputs that follow stay unread for the next draw.
+last one taken, found by position: a second table maps each low byte to 1 if
+it is kept, and ``compress`` over the positions reads the place of that
+output, so the rejected outputs that follow stay unread for the next draw.
 
 The ``_KINDS`` table at the end of the module is the single definition of a
 kind: its builder, its fewest nodes and whether it takes explicit weights.
@@ -57,7 +58,7 @@ _LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, 
 # The low byte of each lane, read from the block's first output to its last.
 _LOW_BYTES = slice(-16, None, -16) if sys.byteorder == "little" else slice(15, None, 16)
 _lanes = {}  # block size -> (1 in each lane, gamma times each lane's steps, lane mask)
-_filters = {}  # (base, span) -> (translate table, delete set) of randints' byte filter
+_filters = {}  # (base, span) -> randints' byte filter: value table, delete set, keep table
 
 
 def _lane_constants(n):
@@ -70,15 +71,17 @@ def _lane_constants(n):
 
 
 def _byte_filter(base, span):
-    """Table mapping a low byte to base plus its masked value, and the bytes
-    whose masked value is rejected; randint's mask and rule for a span below 256."""
-    pair = _filters.get((base, span))
-    if pair is None:
+    """Table mapping a low byte to base plus its masked value, the bytes whose
+    masked value is rejected, and a table mapping a byte to 1 if it is kept
+    and 0 if not; randint's mask and rule for a span below 256."""
+    entry = _filters.get((base, span))
+    if entry is None:
         mask = (1 << span.bit_length()) - 1
         table = bytes((base + (b & mask)) & 0xFF for b in range(256))
         delete = bytes(b for b in range(256) if b & mask >= span)
-        pair = _filters[base, span] = (table, delete)
-    return pair
+        keep = bytes(b & mask < span for b in range(256))
+        entry = _filters[base, span] = (table, delete, keep)
+    return entry
 
 
 class SplitMix64:
@@ -151,7 +154,7 @@ class SplitMix64:
             return [self.randint(lo, hi) for _ in range(count)]
         # Fold lo into the table when every value fits in a byte.
         base = lo if 0 <= lo and hi <= 0xFF else 0
-        table, delete = _byte_filter(base, span)
+        table, delete, keep = _byte_filter(base, span)
         drawn = bytearray()
         while True:
             if self._block:
@@ -166,14 +169,9 @@ class SplitMix64:
             drawn += accepted
             self._block.clear()
         # Read up to the need-th accepted output only, so that rejected ones
-        # after it stay unread: bisect for the shortest prefix that keeps need.
-        short, enough = need - 1, len(unread)
-        while enough - short > 1:
-            middle = (short + enough) // 2
-            if len(unread[:middle].translate(None, delete)) < need:
-                short = middle
-            else:
-                enough = middle
+        # after it stay unread: enough is that output's 1-based position.
+        positions = range(1, len(unread) + 1)
+        enough = next(islice(compress(positions, unread.translate(keep)), need - 1, None))
         if not self._block:
             self._hold(raw)
         del self._block[-enough:]
@@ -215,9 +213,8 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind node_count weight_range se
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         if weights is not None:
             if edge_count is None:
-                raise ValueError(
-                    f"explicit weights are only supported for {_EXPLICIT_WEIGHT_KINDS}"
-                )
+                kinds = ", ".join(_EXPLICIT_WEIGHT_KINDS)
+                raise ValueError(f"explicit weights are only supported for {kinds}")
             weights = tuple(weights)
             expected = edge_count(node_count)
             if len(weights) != expected:

@@ -21,10 +21,11 @@ rich-compare slot calls it without a Python frame: ``INFINITY < x`` is
 Python compares ints and floats exactly, so the second is "the binary64 image
 of x is below +inf" for every int and float, NaN and huge ints included.
 The singleton's ``+``, ``==`` and ``hash`` are Python methods, as are all the
-operators of a finite weight.  A finite weight's ``<``, ``>`` and ``>=`` try a
-plain float first, and a finite weight compared with ``INFINITY`` gets the
-singleton's threshold as its operand, through the singleton's reflected
-method, and answers that in a fast branch too.
+operators of a finite weight, which take one general path: the IEEE
+comparison of the payload with the operand's binary64 image.  A finite weight
+compared with ``INFINITY`` gets the singleton's threshold as its operand,
+through the singleton's reflected method, and the threshold's image is
+``-inf`` or ``+inf``.
 
 The singleton's ordering operators pass an operand that is not an int or a
 float to that operand's reflected method, as ``float`` and ``int`` do: an
@@ -124,18 +125,8 @@ class ExtendedWeight:
     def __str__(self):
         return format_weight(self)
 
-    # IEEE comparison of binary64 images makes NaN compare false.  The fast
-    # branches of __lt__, __gt__ and __ge__ are float expressions that agree
-    # with it, NaN included.  A comparison with INFINITY arrives here through
-    # the singleton's reflected method as one with its threshold:
-    # ``w < INFINITY`` as ``w < _ROUNDS_TO_INF``, ``w >= INFINITY`` as
-    # ``w >= _ROUNDS_TO_INF``, ``w > INFINITY`` as ``w < -inf`` and
-    # ``w <= INFINITY`` as ``w >= -inf``.
+    # IEEE comparison of binary64 images, so NaN compares false.
     def __lt__(self, other):
-        if type(other) is float:
-            return self._value < other
-        if other is _ROUNDS_TO_INF:
-            return True
         o = _as_binary64(other)
         return NotImplemented if o is None else self._value < o
 
@@ -144,16 +135,10 @@ class ExtendedWeight:
         return NotImplemented if o is None else self._value <= o
 
     def __gt__(self, other):
-        if type(other) is float:
-            return self._value > other
         o = _as_binary64(other)
         return NotImplemented if o is None else self._value > o
 
     def __ge__(self, other):
-        if type(other) is float:
-            return self._value >= other
-        if other is _ROUNDS_TO_INF:
-            return False
         o = _as_binary64(other)
         return NotImplemented if o is None else self._value >= o
 

@@ -1,6 +1,7 @@
 """Seeded generators: determinism, validation, and category structure."""
 
-import hashlib
+import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,13 @@ from extinf.fixtures import CATEGORIES, fixture
 from extinf.generators import KINDS, GeneratorSpec, SplitMix64, generate
 from extinf.graphs import emit_graph, validate
 from helpers import CATEGORY_PREDICATES
+
+# The pinned digests are computed by the stdlib-only timing tool, so that an
+# interpreter without pytest can print them too.
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "tools"))
+
+import generate_timings  # noqa: E402
 
 # Node counts that satisfy every kind's minimum (grid needs perfect squares).
 SIZES = {"grid": (4, 9, 16, 25), "worst_case_tie": (4, 6, 9, 13)}
@@ -104,7 +112,8 @@ def test_randint_draws_match_scalar_splitmix64(seed):
 RANDINTS_SPANS = (1, 4, 10, 255, 256, 257, 2**64, 2**64 + 1)
 
 
-@pytest.mark.parametrize("span", (1, 4, 10, 255))
+# Spans of every mask width from 1 to 8 bits, with both ends of some widths.
+@pytest.mark.parametrize("span", (1, 2, 3, 4, 7, 10, 20, 40, 100, 129, 200, 255))
 @pytest.mark.parametrize("read_first", (0, 5))
 def test_randints_matches_randint_at_every_count(span, read_first):
     # Counts up to 70 end the call in each of the first few blocks (16, 32, 64
@@ -170,21 +179,9 @@ def test_fixture_categories_are_the_generator_kinds():
 
 
 def test_generated_bytes_are_pinned():
-    digest = hashlib.sha256()
-    for kind in KINDS:
-        for node_count in sizes_for(kind) + (100,):
-            for seed in (0, 7, 2**63, 2**64 - 1):
-                for weight_range in ((1, 10), (3, 1000)):
-                    spec = GeneratorSpec(kind, node_count, weight_range, seed)
-                    digest.update(emit_graph(generate(spec)).encode())
-    for kind, weights in (
-        ("linear_chain", (0, 2.5, 7)),
-        ("star", (1, 0.5, 2**53)),
-        ("cycle", (3, 0, 1.25, 9)),
-    ):
-        spec = GeneratorSpec(kind, len(weights) + (kind != "cycle"), weights=weights)
-        digest.update(emit_graph(generate(spec)).encode())
-    assert digest.hexdigest() == (
+    # Every kind at small sizes and 100 nodes, four seeds, two weight ranges,
+    # and the explicit-weight kinds.
+    assert generate_timings.golden_digest() == (
         "c3c7ff7f06d032bb4deba166cdb4cb3016bbecc89d149fdf6cbeff490db2d8f9"
     )
 
@@ -192,20 +189,7 @@ def test_generated_bytes_are_pinned():
 def test_benchmark_sized_bytes_are_pinned():
     # The graph kinds and sizes of the benchmark's generated workloads, and
     # the largest grid; the digest was taken before generation drew in blocks.
-    digest = hashlib.sha256()
-    for kind, node_count in (
-        ("dense", 100),
-        ("equal_weights", 200),
-        ("grid", 400),
-        ("sparse_tree", 400),
-        ("real_world_like", 400),
-        ("disconnected", 400),
-        ("grid", 1600),
-    ):
-        for seed in (0, 12345, 2**64 - 1):
-            spec = GeneratorSpec(kind, node_count, seed=seed)
-            digest.update(emit_graph(generate(spec)).encode())
-    assert digest.hexdigest() == (
+    assert generate_timings.benchmark_sized_digest() == (
         "9d717b1a8e408f0136c78495d85294da1903405d91394a087d08c565927bad12"
     )
 

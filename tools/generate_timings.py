@@ -7,10 +7,11 @@ Stdlib only, so it runs on interpreters that have no pytest::
 It puts this checkout's ``src/`` on the import path and, for each graph of
 the README's "Generating and writing" table (seed ``SEED``), prints the
 minimum-of-repeats ``timeit`` time of ``generate`` and of ``emit_graph`` and
-the sha256 of the emitted text.  It then prints the combined digests that
+the sha256 of the emitted text.  It then prints the combined digests of
+``golden_digest`` and ``benchmark_sized_digest``, which
 ``test_generated_bytes_are_pinned`` and ``test_benchmark_sized_bytes_are_pinned``
-in ``tests/test_generators.py`` pin, recomputed by the same loops, so an
-interpreter without pytest can show that it generates the same bytes.
+in ``tests/test_generators.py`` call and pin, so an interpreter without pytest
+can show that it generates the same bytes.
 
 It checks nothing: compare the digests with the tests' by eye.  The last line
 of output is the whole report as JSON.
@@ -57,7 +58,8 @@ def timings():
 
 
 def golden_digest():
-    """The loops of test_generated_bytes_are_pinned."""
+    """sha256 of every kind at small sizes and 100 nodes, four seeds and two
+    weight ranges each, then of the explicit-weight kinds."""
     sizes = {"grid": (4, 9, 16, 25), "worst_case_tie": (4, 6, 9, 13)}
     digest = hashlib.sha256()
     for kind in KINDS:
@@ -77,7 +79,8 @@ def golden_digest():
 
 
 def benchmark_sized_digest():
-    """The loops of test_benchmark_sized_bytes_are_pinned."""
+    """sha256 of the benchmark's generated kinds and sizes, and of the largest
+    grid, at three seeds each."""
     digest = hashlib.sha256()
     for kind, node_count in (
         ("dense", 100),
