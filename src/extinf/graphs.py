@@ -16,23 +16,28 @@ bound is ``weights._ROUNDS_TO_INF``, the smallest int that rounds to +inf.  The 
 itself is ``_weight_problem``, which ``generators`` shares for explicit weights.
 
 ``emit_graph`` writes the bytes of ``json.dumps(doc, sort_keys=True,
-indent=2)``, but any ``indent`` sends ``json`` to its pure-Python encoder, which
-spends most of a dense graph's emission on per-item generator steps.  So it
-encodes each level with the C encoder instead, using one encoder per nesting
-level whose item separator carries that level's newline and indentation, and
-adds only the braces around each non-empty adjacency.  Node keys are encoded
-together in one call and split apart at their separator, which is safe because
-an encoded key never holds a raw newline.  Each weight goes through
-``canonical_number``, except that an ``int`` it would return unchanged is kept
-by an inline test without a function call.
+indent=2)`` without ``json``'s pure-Python indent encoder.  Each call keeps
+two tables, so every distinct key and weight is encoded once however many
+edges share it, and each adjacency is joined from them by C loops; only a
+table miss runs Python.  The key table maps an id to its encoded text followed
+by ``": "``.  It starts with the node ids, encoded together in one call and
+split apart at the value and separator after each key, which is safe because
+an encoded key never holds a raw newline.  It keeps only ``str`` keys: ``1``,
+``1.0`` and ``True`` are one dict key but three JSON keys, so any other key is
+encoded on every use.  The number table maps a weight to the JSON text of
+``canonical_number``, and one entry serves every weight equal to its key:
+equal numbers have the same binary64 image, ``0``, ``0.0``, ``-0.0`` and
+``False`` all write ``0``, and a NaN, equal to no other weight, gets an entry
+of its own that writes ``NaN``.
 """
 
 import itertools
 import json
 import math
 import warnings
+from operator import concat
 
-from .weights import _MAX_EXACT_INT, _ROUNDS_TO_INF, canonical_number
+from .weights import _ROUNDS_TO_INF, canonical_number
 
 __all__ = [
     "DanglingTargetWarning",
@@ -140,20 +145,26 @@ def parse_graph(text: str) -> dict:
     return graph
 
 
-# Every value these encode is a number, so there is no nesting to check.
+# Every value this encodes is a number, so there is no nesting to check.
 _NODE_KEYS = json.JSONEncoder(separators=(",\n  ", ": "), check_circular=False)
-_ADJACENCY = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "), check_circular=False)
 
 
-def _adjacency_text(neighbors):
-    text = _ADJACENCY.encode(
-        {
-            neighbor: w if type(w) is int and -_MAX_EXACT_INT < w < _MAX_EXACT_INT
-            else canonical_number(w)
-            for neighbor, w in neighbors.items()
-        }
-    )
-    return "{}" if text == "{}" else "{\n    " + text[1:-1] + "\n  }"
+class _KeyTexts(dict):
+    """Key -> its encoded text and ": ", remembered for str keys only."""
+
+    def __missing__(self, key):
+        text = _NODE_KEYS.encode({key: 0})[1:-2]
+        if type(key) is str:
+            self[key] = text
+        return text
+
+
+class _NumberTexts(dict):
+    """Weight -> JSON text of its canonical number, shared by equal weights."""
+
+    def __missing__(self, weight):
+        text = self[weight] = _NODE_KEYS.encode(canonical_number(weight))
+        return text
 
 
 def emit_graph(graph: dict) -> str:
@@ -162,10 +173,20 @@ def emit_graph(graph: dict) -> str:
     if not nodes:
         return "{}\n"
     # An encoded key holds no raw newline, so the split finds each key's end.
-    keys = _NODE_KEYS.encode(dict.fromkeys(nodes, 0))[1:-4].split(": 0,\n  ")
-    return "{\n  " + ",\n  ".join(
-        f"{key}: {_adjacency_text(graph[node])}" for key, node in zip(keys, nodes)
-    ) + "\n}\n"
+    keys = _NODE_KEYS.encode(dict.fromkeys(nodes, 0))[1:-2].split("0,\n  ")
+    key = _KeyTexts((node, k) for node, k in zip(nodes, keys) if type(node) is str).__getitem__
+    number = _NumberTexts().__getitem__
+    lines = []
+    for text, node in zip(keys, nodes):
+        neighbors = graph[node]
+        targets = sorted(neighbors.keys())
+        if targets:
+            weights = map(number, map(neighbors.__getitem__, targets))
+            text += "{\n    " + ",\n    ".join(map(concat, map(key, targets), weights)) + "\n  }"
+        else:
+            text += "{}"
+        lines.append(text)
+    return "{\n  " + ",\n  ".join(lines) + "\n}\n"
 
 
 def validate(graph: dict) -> list:

@@ -91,6 +91,14 @@ class TestEmit:
         positions = [text.index(f'"{k}"') for k in "ABCD"]
         assert positions == sorted(positions)
 
+    def test_non_number_weight_raises_type_error(self):
+        with pytest.raises(TypeError):
+            emit_graph({"A": {"B": [1]}})
+
+    def test_non_dict_adjacency_raises(self):
+        with pytest.raises(AttributeError):
+            emit_graph({"A": []})
+
     def test_integral_floats_written_as_integers(self):
         assert '"B": 2' in emit_graph({"A": {"B": 2.0}, "B": {}})
 
@@ -136,11 +144,16 @@ _emitted_weights = st.one_of(
     st.booleans(),
 )
 
+# Numbers that sort together but share dict keys across types: 1, 1.0 and True.
+_mixed_numeric_ids = st.one_of(
+    st.integers(-3, 3), st.booleans(), st.sampled_from([1.0, 0.5, -0.0])
+)
+
 
 @st.composite
 def _emittable_graphs(draw):
-    # Keys of one dict must sort, so a graph's ids are all str or all int.
-    ids = draw(st.sampled_from([_awkward_ids, st.integers(-3, 12)]))
+    # Keys of one dict must sort, so a graph's ids are all str or all numbers.
+    ids = draw(st.sampled_from([_awkward_ids, st.integers(-3, 12), _mixed_numeric_ids]))
     return draw(
         st.dictionaries(ids, st.dictionaries(ids, _emitted_weights, max_size=5), max_size=6)
     )
@@ -157,6 +170,11 @@ class TestEmitMatchesIndentEncoder:
             {"A": {"B": 2**53, "C": -(2**53), "D": 2**53 - 1}, "B": {}},
             {"A": {"B": 1e300, "C": math.nan, "D": math.inf, "E": True, "F": False}},
             {",\n  \"x\": 0": {"\\": 1}, "\u00e9\n": {"": 2.5}},
+            # Equal dict keys of other types are other JSON keys.
+            {1: {}, 2: {1.0: 3}},
+            {0: {False: 1}, 1: {True: 2.0, 0.5: -0.0}},
+            # Equal weights of other types write one text.
+            {"A": dict(zip("BCDEFGH", [1, 1.0, True, -0.0, 0, 2**53, float(2**53)]))},
         ],
     )
     def test_examples(self, graph):
