@@ -19,7 +19,6 @@ runtime across rows and the improvement of the pooled means aggregate the same
 data differently, reports print both, labelled.
 """
 
-import csv
 import io
 import time
 from collections import defaultdict, namedtuple
@@ -192,6 +191,8 @@ def aggregates(rows, report: WelchReport) -> dict:
 
 
 def _csv(columns, records) -> str:
+    import csv  # only reports need it, so importing bench does not load it
+
     # Each record's fields are the columns, in order.
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -231,7 +231,7 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind node_count weight_range se
 
 def _node_names(count):
     width = len(str(count - 1))
-    return [f"n{i:0{width}d}" for i in range(count)]
+    return ["n" + digits.zfill(width) for digits in map(str, range(count))]
 
 
 def generate(spec: GeneratorSpec) -> dict:

@@ -15,10 +15,14 @@ every other weight goes to ``_check_weight``, which words the error.  Its int
 bound is ``weights._ROUNDS_TO_INF``, the smallest int that rounds to +inf.  The rule
 itself is ``_weight_problem``, which ``generators`` shares for explicit weights.
 
+A search never reads or writes JSON, so ``parse_graph`` and ``emit_graph``
+import ``json`` when called rather than with this module.
+
 ``emit_graph`` writes the bytes of ``json.dumps(doc, sort_keys=True,
-indent=2)`` without ``json``'s pure-Python indent encoder.  Each call keeps
-two tables, so every distinct key and weight is encoded once however many
-edges share it, and each adjacency is joined from them by C loops; only a
+indent=2)`` without ``json``'s pure-Python indent encoder.  Each call builds
+one compact encoder, a microsecond against the milliseconds of emission, and
+keeps two tables, so every distinct key and weight is encoded once however
+many edges share it, and each adjacency is joined from them by C loops; only a
 table miss runs Python.  The key table maps an id to its encoded text followed
 by ``": "``.  It starts with the node ids, encoded together in one call and
 split apart at the value and separator after each key, which is safe because
@@ -32,7 +36,6 @@ of its own that writes ``NaN``.
 """
 
 import itertools
-import json
 import math
 import warnings
 from operator import concat
@@ -94,6 +97,8 @@ def parse_graph(text: str) -> dict:
     and reported via DanglingTargetWarning.  Malformed documents raise
     GraphParseError naming the offending node or edge.
     """
+    import json
+
     try:
         doc = json.loads(text)
     # JSONDecodeError, an int literal past int_max_str_digits, or nesting too deep
@@ -145,15 +150,15 @@ def parse_graph(text: str) -> dict:
     return graph
 
 
-# Every value this encodes is a number, so there is no nesting to check.
-_NODE_KEYS = json.JSONEncoder(separators=(",\n  ", ": "), check_circular=False)
-
-
 class _KeyTexts(dict):
     """Key -> its encoded text and ": ", remembered for str keys only."""
 
+    def __init__(self, encode, texts):
+        super().__init__(texts)
+        self.encode = encode
+
     def __missing__(self, key):
-        text = _NODE_KEYS.encode({key: 0})[1:-2]
+        text = self.encode({key: 0})[1:-2]
         if type(key) is str:
             self[key] = text
         return text
@@ -162,8 +167,11 @@ class _KeyTexts(dict):
 class _NumberTexts(dict):
     """Weight -> JSON text of its canonical number, shared by equal weights."""
 
+    def __init__(self, encode):
+        self.encode = encode
+
     def __missing__(self, weight):
-        text = self[weight] = _NODE_KEYS.encode(canonical_number(weight))
+        text = self[weight] = self.encode(canonical_number(weight))
         return text
 
 
@@ -172,10 +180,14 @@ def emit_graph(graph: dict) -> str:
     nodes = sorted(graph)
     if not nodes:
         return "{}\n"
+    import json
+
+    # Every value this encodes is a number, so there is no nesting to check.
+    encode = json.JSONEncoder(separators=(",\n  ", ": "), check_circular=False).encode
     # An encoded key holds no raw newline, so the split finds each key's end.
-    keys = _NODE_KEYS.encode(dict.fromkeys(nodes, 0))[1:-2].split("0,\n  ")
-    key = _KeyTexts((node, k) for node, k in zip(nodes, keys) if type(node) is str).__getitem__
-    number = _NumberTexts().__getitem__
+    keys = encode(dict.fromkeys(nodes, 0))[1:-2].split("0,\n  ")
+    key = _KeyTexts(encode, ((n, k) for n, k in zip(nodes, keys) if type(n) is str)).__getitem__
+    number = _NumberTexts(encode).__getitem__
     lines = []
     for text, node in zip(keys, nodes):
         neighbors = graph[node]

@@ -70,11 +70,13 @@ class Ordering(enum.Enum):
 
 def _float(x) -> float:
     """float(x) for an int or float; an int past binary64 range rounds to
-    +-inf, as IEEE round-to-nearest does, instead of raising OverflowError."""
-    try:
+    +-inf, as IEEE round-to-nearest does, instead of raising OverflowError.
+    The range test comes first because a finite weight compared with
+    ``INFINITY`` gets the int threshold here, and raising costs more than
+    the rest of the comparison."""
+    if isinstance(x, float) or -_ROUNDS_TO_INF < x < _ROUNDS_TO_INF:
         return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
+    return math.inf if x > 0 else -math.inf
 
 
 def _as_binary64(operand):

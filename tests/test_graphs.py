@@ -4,7 +4,6 @@ import enum
 import json
 import math
 import sys
-import types
 import warnings
 from unittest import mock
 
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_graphs
-from extinf import graphs
 from extinf.fixtures import (
     CATEGORY_FIXTURES,
     FIXTURE_NAMES,
@@ -281,8 +279,7 @@ def _check_against_reference(weights):
         )
 
     # parse_graph on the weight objects themselves, subclasses included ...
-    decoder = types.SimpleNamespace(loads=loads)
-    with mock.patch.object(graphs, "json", decoder):
+    with mock.patch.object(json, "loads", loads):
         _assert_parse_matches("", weights)
     # ... and on the JSON text of the same star.
     text = json.dumps(_star(weights))

@@ -120,14 +120,54 @@ def test_sample_set_replace_and_make_go_through_the_constructor():
         three._replace(size=3)
 
 
-def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+# Every name the package re-exported when it imported each of its modules.
+_REEXPORTED = (
+    "CATEGORIES FIXTURE_NAMES ROAD_ROUTES UnknownFixtureError fixture primary_fixture_names "
+    "KINDS GeneratorSpec generate "
+    "DanglingTargetWarning GraphParseError InvalidGraphError emit_graph parse_graph validate "
+    "DOMAINS IEEE_BASELINE SENTINEL UnknownNodeError WeightDomain bellman_ford dijkstra "
+    "distances_from_jsonable distances_to_jsonable get_domain "
+    "INFINITY ExtendedWeight Ordering add compare finite format_weight from_binary64 "
+    "parse_weight to_binary64 "
+    "ComparisonRow TimingSample improvement run_comparison time_dijkstra "
+    "DegenerateSamplesError SampleSet WelchReport mean student_t_cdf variance welch_test"
+)
+_IMPORT_CASES = {
+    "neither_dataclasses_nor_inspect": (
+        "import extinf, extinf.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))",
+        "[]\n",
+    ),
+    # json, csv, bench, stats and cli load on first use; every name still resolves.
+    "only_the_search_path": (
+        """import extinf
+print(sorted(m for m in sys.modules if m.partition(".")[0] in ("extinf", "json", "csv")))
+print(extinf.run_comparison is extinf.bench.run_comparison)
+print(extinf.welch_test is extinf.stats.welch_test, extinf.stats.__name__)
+names = set(sys.argv[2].split())
+star = {}
+exec("from extinf import *", star)
+print(sorted(names - star.keys()), sorted(names - set(dir(extinf))))
+print(all(star[name] is getattr(extinf, name) for name in names))
+print(hasattr(extinf, "cli"), hasattr(extinf, "no_such_name"))
+from extinf import cli
+print(cli.__name__)""",
+        "['extinf', 'extinf.fixtures', 'extinf.generators', 'extinf.graphs', "
+        "'extinf.shortest_path', 'extinf.weights']\n"
+        "True\nTrue extinf.stats\n[] []\nTrue\nFalse False\nextinf.cli\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("code, expected", _IMPORT_CASES.values(), ids=_IMPORT_CASES.keys())
+def test_importing_the_package_loads(code, expected):
     # -S keeps site .pth hooks from importing modules before the package does.
     src = str(pathlib.Path(extinf.__file__).resolve().parents[1])
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import extinf, extinf.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
-    )
     result = subprocess.run(
-        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", "import sys; sys.path.insert(0, sys.argv[1])\n" + code]
+        + [src, _REEXPORTED],
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert result.stdout == "[]\n"
+    assert result.stdout == expected

@@ -135,10 +135,12 @@ class TestBinary64:
 
     def test_int_past_binary64_range_rounds_to_infinity(self):
         assert from_binary64(10**400) is INFINITY
+        assert from_binary64(2**1024) is INFINITY
         assert from_binary64(2**1024 - 2**970) is INFINITY
         assert from_binary64(2**1024 - 2**970 - 1) == finite(_MAX)
-        with pytest.raises(ValueError):
-            from_binary64(-(10**400))
+        for negative in (-(2**1024 - 2**970 - 1), -(2**1024 - 2**970), -(10**400)):
+            with pytest.raises(ValueError, match="negative"):
+                from_binary64(negative)
 
     @given(extended_weights)
     def test_round_trip(self, w):
@@ -232,7 +234,8 @@ _EDGE_WEIGHTS = (INFINITY, finite(0.0), finite(_TINY), finite(1.0), finite(_MAX)
 _EDGE_OPERANDS = (
     (math.nan, 0.0, -0.0, math.inf, -math.inf, _TINY, -_TINY, 1.0, -1.0, _MAX)
     + (0, 1, -1, 2**53 + 1, 10**300)
-    + (2**1024 - 2**970 - 1, 2**1024 - 2**970, 10**400, -(10**400))
+    + (2**1024 - 2**970 - 1, 2**1024 - 2**970, 2**1024, 10**400)
+    + (-(2**1024 - 2**970 - 1), -(2**1024 - 2**970), -(10**400))
     + (INFINITY, finite(0), finite(1.0), finite(_MAX))
     + _NON_NUMBERS
 )
