@@ -23,6 +23,7 @@ import io
 import time
 from collections import defaultdict, namedtuple
 
+from .graphs import InvalidGraphError, validate
 from .shortest_path import (
     IEEE_BASELINE,
     SENTINEL,
@@ -142,11 +143,12 @@ def schedule(graph_ids, repetitions: int) -> list:
 def run_comparison(entries, iterations: int = 50_000, repetitions: int = 2, alpha: float = 0.01):
     """Run the paired protocol over (graph_id, graph, source) triples.
 
-    Timing follows schedule(), after every source has been checked, so an
-    unknown source fails before anything is timed.  Returns (rows, report):
-    one ComparisonRow per entry, in input order, from per-graph mean elapsed
-    times, and a WelchReport over the pooled per-iteration times with arm A =
-    sentinel, arm B = baseline (alternative: A is faster).
+    Every graph and source is checked first, so a bad one fails, named by
+    its graph id, before anything is timed; timing then follows schedule().
+    Returns (rows, report): one ComparisonRow per entry, in input order, from
+    per-graph mean elapsed times, and a WelchReport over the pooled
+    per-iteration times with arm A = sentinel, arm B = baseline (alternative:
+    A is faster).
     """
     entries = list(entries)
     if not entries:
@@ -156,6 +158,9 @@ def run_comparison(entries, iterations: int = 50_000, repetitions: int = 2, alph
     if len(entries) * repetitions < 2:
         raise ValueError("need at least two samples per arm overall")
     for graph_id, graph, source in entries:
+        violations = validate(graph)
+        if violations:
+            raise InvalidGraphError(f"graph {graph_id!r}: {v}" for v in violations)
         if source not in graph:
             raise UnknownNodeError(f"unknown source node {source!r} in graph {graph_id!r}")
     # Indices, not graph ids, key the samples: ids may repeat.

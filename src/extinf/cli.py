@@ -3,17 +3,16 @@
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  The verdict of a
 comparison is data, not a failure, so compare exits 0 either way.  The
 --seed flag falls back to the EXTINF_BENCH_SEED environment variable.
+``bench``, ``stats``, ``csv`` and ``json`` load in the commands that use them.
 """
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
 import warnings
 
-from . import bench, generators, graphs, stats
+from . import generators, graphs
 from .fixtures import FIXTURE_NAMES, ROAD_ROUTES, fixture, primary_fixture_names
 from .shortest_path import DOMAINS, SENTINEL
 
@@ -183,6 +182,8 @@ def cmd_run(args) -> int:
         raise _UsageError("pass exactly one of --graph or --fixture")
     names, paths = ([args.fixture], []) if args.graph is None else ([], [args.graph])
     [(graph_id, graph, source)] = _entries(names, paths, args.source)
+    from . import bench
+
     samples = [
         bench.time_dijkstra(
             graph, source, args.domain, args.iterations, graph_id=graph_id
@@ -209,6 +210,8 @@ def cmd_compare(args) -> int:
     entries = _entries(names, args.graph, args.source)
     if len(entries) * args.repetitions < 2:
         raise _UsageError("need at least two samples per arm; raise --repetitions")
+    from . import bench
+
     rows, report = bench.run_comparison(
         entries,
         iterations=args.iterations,
@@ -223,6 +226,8 @@ def cmd_compare(args) -> int:
         verdict_stream = sys.stdout if args.output is not None else sys.stderr
         print(report.verdict_line(), file=verdict_stream)
     else:
+        import json
+
         config = {
             "iterations": args.iterations,
             "repetitions": args.repetitions,
@@ -250,9 +255,11 @@ def _column(path, rows, index) -> list:
     return values
 
 
-def _load_samples(path) -> stats.SampleSet:
+def _load_samples(path) -> list:
     """Samples from a CSV file: a timing CSV (per_iteration column), a CSV
     with a `value` column, or a headerless single column of numbers."""
+    import csv
+
     try:
         with open(path, encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -284,18 +291,22 @@ def _load_samples(path) -> stats.SampleSet:
         raise ValueError(f"no samples in {path}")
     if len(values) < 2:
         raise ValueError(f"{path}: ttest needs at least two samples per file, got 1")
-    return stats.SampleSet(tuple(values), label=os.path.basename(path))
+    return values
 
 
 def cmd_ttest(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise _UsageError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     samples_a, samples_b = _load_samples(args.samples_a), _load_samples(args.samples_b)
+    from . import stats
+
     try:
         report = stats.welch_test(samples_a, samples_b, alpha=args.alpha)
     except (ValueError, ArithmeticError) as exc:  # e.g. samples that overflow a sum
         raise ValueError(f"{args.samples_a} vs {args.samples_b}: {exc}") from None
     if args.format == "json":
+        import json
+
         print(json.dumps(report.to_jsonable(), indent=2))
     else:
         print(report.verdict_line())

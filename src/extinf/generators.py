@@ -13,9 +13,9 @@ paying the interpreter for each shift, xor and multiply of each one.  It packs
 the block's states into 128-bit lanes of one Python int, runs every mixing
 step on that int with the lanes masked back to 64 bits, so that no shift or
 product carries into the next lane, and unpacks the low words through a
-``memoryview``.  The loops over lanes are then the int type's C loops.  Blocks
-start at 16 outputs, so a small graph mixes few it never reads, and double up
-to 512; each size's lane constants are built the first time it is used.
+``memoryview``.  The loops over lanes are then the int type's C loops.  Every
+block holds 512 outputs, and the lane constants are built on first use, not
+on import, since a search never generates.
 
 ``SplitMix64.randints`` draws many bounded values at once without a call per
 draw.  For a span below 256 the rejection mask fits in a byte, and only an
@@ -39,7 +39,7 @@ and orders the bundled fixture categories, which come in pairs.
 import math
 import sys
 from collections import namedtuple
-from functools import partial
+from functools import cache, partial
 from itertools import compress, filterfalse, islice
 
 from .graphs import _weight_problem
@@ -48,40 +48,34 @@ __all__ = ["GeneratorSpec", "KINDS", "SplitMix64", "generate"]
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_FIRST_BLOCK = 16
-_LAST_BLOCK = 512
-# Lane i of an n-output block holds the state n - i steps on, so the lanes'
-# low words, read from the least significant lane up, run from the block's
-# last output to its first; the slice reads them in that order in the bytes
-# of either byte order.
+_BLOCK = 512  # outputs mixed at once
+# Lane i of a block holds the state _BLOCK - i steps on, so the lanes' low
+# words, read from the least significant lane up, run from the block's last
+# output to its first; the slice reads them in that order in the bytes of
+# either byte order.
 _LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
 # The low byte of each lane, read from the block's first output to its last.
 _LOW_BYTES = slice(-16, None, -16) if sys.byteorder == "little" else slice(15, None, 16)
-_lanes = {}  # block size -> (1 in each lane, gamma times each lane's steps, lane mask)
-_filters = {}  # (base, span) -> randints' byte filter: value table, delete set, keep table
 
 
-def _lane_constants(n):
-    constants = _lanes.get(n)
-    if constants is None:
-        ones = int.from_bytes(b"\x01".ljust(16, b"\0") * n, "little")
-        steps = b"".join(k.to_bytes(16, "little") for k in range(n, 0, -1))
-        constants = _lanes[n] = (ones, _GAMMA * int.from_bytes(steps, "little"), _MASK64 * ones)
-    return constants
+@cache
+def _lane_constants():
+    """1 in each lane, gamma times each lane's steps, and the lane mask."""
+    ones = int.from_bytes(b"\x01".ljust(16, b"\0") * _BLOCK, "little")
+    steps = b"".join(k.to_bytes(16, "little") for k in range(_BLOCK, 0, -1))
+    return ones, _GAMMA * int.from_bytes(steps, "little"), _MASK64 * ones
 
 
+@cache
 def _byte_filter(base, span):
     """Table mapping a low byte to base plus its masked value, the bytes whose
     masked value is rejected, and a table mapping a byte to 1 if it is kept
     and 0 if not; randint's mask and rule for a span below 256."""
-    entry = _filters.get((base, span))
-    if entry is None:
-        mask = (1 << span.bit_length()) - 1
-        table = bytes((base + (b & mask)) & 0xFF for b in range(256))
-        delete = bytes(b for b in range(256) if b & mask >= span)
-        keep = bytes(b & mask < span for b in range(256))
-        entry = _filters[base, span] = (table, delete, keep)
-    return entry
+    mask = (1 << span.bit_length()) - 1
+    table = bytes((base + (b & mask)) & 0xFF for b in range(256))
+    delete = bytes(b for b in range(256) if b & mask >= span)
+    keep = bytes(b & mask < span for b in range(256))
+    return table, delete, keep
 
 
 class SplitMix64:
@@ -91,19 +85,16 @@ class SplitMix64:
         self._state = seed & _MASK64  # state of the last output mixed so far
         self._block = []  # mixed outputs not yet read, last first
         self._low = b""  # low byte of each output of the block, first first
-        self._block_size = _FIRST_BLOCK
 
     def _mix_block(self):
         """Mix the next block of outputs and return its lanes' bytes."""
-        n = self._block_size
-        ones, steps, mask = _lane_constants(n)
+        ones, steps, mask = _lane_constants()
         z = (self._state * ones + steps) & mask
-        self._state = (self._state + n * _GAMMA) & _MASK64
-        self._block_size = min(2 * n, _LAST_BLOCK)
+        self._state = (self._state + _BLOCK * _GAMMA) & _MASK64
         z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
         z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
         z ^= z >> 31  # the bits this leaves in the high words are never read
-        return z.to_bytes(16 * n, sys.byteorder)
+        return z.to_bytes(16 * _BLOCK, sys.byteorder)
 
     def _hold(self, raw):
         """Make a mixed block the unread one."""

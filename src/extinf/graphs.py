@@ -26,13 +26,14 @@ many edges share it, and each adjacency is joined from them by C loops; only a
 table miss runs Python.  The key table maps an id to its encoded text followed
 by ``": "``.  It starts with the node ids, encoded together in one call and
 split apart at the value and separator after each key, which is safe because
-an encoded key never holds a raw newline.  It keeps only ``str`` keys: ``1``,
-``1.0`` and ``True`` are one dict key but three JSON keys, so any other key is
-encoded on every use.  The number table maps a weight to the JSON text of
-``canonical_number``, and one entry serves every weight equal to its key:
-equal numbers have the same binary64 image, ``0``, ``0.0``, ``-0.0`` and
-``False`` all write ``0``, and a NaN, equal to no other weight, gets an entry
-of its own that writes ``NaN``.
+an encoded key never holds a raw newline.  It holds only the ``str`` ids,
+since ``1``, ``1.0`` and ``True`` are one dict key but three JSON keys, and
+stores nothing more: in a valid graph every edge target is one of them, so a
+key only an invalid graph holds is encoded on every use.  The number table
+maps a weight to the JSON text of ``canonical_number``, and one entry serves
+every weight equal to its key: equal numbers have the same binary64 image,
+``0``, ``0.0``, ``-0.0`` and ``False`` all write ``0``, and a NaN, equal to no
+other weight, gets an entry of its own that writes ``NaN``.
 """
 
 import itertools
@@ -151,17 +152,14 @@ def parse_graph(text: str) -> dict:
 
 
 class _KeyTexts(dict):
-    """Key -> its encoded text and ": ", remembered for str keys only."""
+    """Node id -> its encoded text and ": "; any other key is encoded anew."""
 
     def __init__(self, encode, texts):
         super().__init__(texts)
         self.encode = encode
 
     def __missing__(self, key):
-        text = self.encode({key: 0})[1:-2]
-        if type(key) is str:
-            self[key] = text
-        return text
+        return self.encode({key: 0})[1:-2]
 
 
 class _NumberTexts(dict):

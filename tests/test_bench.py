@@ -25,6 +25,7 @@ from extinf.bench import (
     timing_csv,
 )
 from extinf.fixtures import fixture
+from extinf.graphs import InvalidGraphError
 from extinf.shortest_path import SENTINEL, UnknownNodeError
 
 positive_seconds = st.floats(min_value=1e-9, max_value=1e6, allow_nan=False)
@@ -182,6 +183,23 @@ class TestRunComparison:
         monkeypatch.setattr(bench, "time_dijkstra", fake)
         with pytest.raises(UnknownNodeError, match="'A' in graph 'g2'"):
             run_comparison(entries, iterations=10, repetitions=2)
+        assert calls == []
+
+    def test_invalid_graph_fails_before_any_timing_and_is_named(self, monkeypatch):
+        entries = [
+            ("Star", fixture("Star_Graph_1"), "A"),
+            ("bad", {"A": {"B": -1}, "B": {}}, "A"),
+        ]
+        calls, real = [], bench.time_dijkstra
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["graph_id"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "time_dijkstra", spy)
+        with pytest.raises(InvalidGraphError) as caught:
+            run_comparison(entries, iterations=10, repetitions=2)
+        assert str(caught.value) == "graph 'bad': edge 'A' -> 'B': negative weight -1"
         assert calls == []
 
     def test_validation(self):

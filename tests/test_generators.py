@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extinf.fixtures import CATEGORIES, fixture
-from extinf.generators import KINDS, GeneratorSpec, SplitMix64, generate
+from extinf.generators import _BLOCK, KINDS, GeneratorSpec, SplitMix64, generate
 from extinf.graphs import emit_graph, validate
 from helpers import CATEGORY_PREDICATES
 
@@ -90,8 +90,7 @@ STREAM_SEEDS = (0, 1, 2**63, 2**64 - 1)
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_block_stream_matches_scalar_splitmix64(seed):
-    # 2,000 outputs cross every block boundary up to the largest block size
-    # and three boundaries between blocks of that size.
+    # 2,000 outputs cross three boundaries between blocks of 512 outputs.
     rng, reference = SplitMix64(seed), _ScalarSplitMix64(seed)
     assert [rng.next_u64() for _ in range(2000)] == [reference.next_u64() for _ in range(2000)]
 
@@ -116,10 +115,15 @@ RANDINTS_SPANS = (1, 4, 10, 255, 256, 257, 2**64, 2**64 + 1)
 @pytest.mark.parametrize("span", (1, 2, 3, 4, 7, 10, 20, 40, 100, 129, 200, 255))
 @pytest.mark.parametrize("read_first", (0, 5))
 def test_randints_matches_randint_at_every_count(span, read_first):
-    # Counts up to 70 end the call in each of the first few blocks (16, 32, 64
-    # and 128 outputs), so some take a block's last accepted output while
-    # rejected ones follow it; those must stay unread.
-    for count in range(70):
+    # Besides the first few counts, the counts that end the call on the last
+    # accepted output of the first or second block, and one either side.  A
+    # call that takes a block's last accepted output while rejected ones
+    # follow it must leave those unread.
+    reference = _ScalarSplitMix64(9)
+    mask = 2 ** span.bit_length() - 1
+    kept = [reference.next_u64() & mask < span for _ in range(2 * _BLOCK)][read_first:]
+    ends = (sum(kept[: _BLOCK - read_first]), sum(kept))
+    for count in sorted({0, 1, 2, 3, *(end + step for end in ends for step in (-1, 0, 1))}):
         rng, reference = SplitMix64(9), _ScalarSplitMix64(9)
         for _ in range(read_first):
             assert rng.next_u64() == reference.next_u64()

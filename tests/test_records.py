@@ -156,6 +156,19 @@ print(cli.__name__)""",
         "'extinf.shortest_path', 'extinf.weights']\n"
         "True\nTrue extinf.stats\n[] []\nTrue\nFalse False\nextinf.cli\n",
     ),
+    # The CLI imports json, csv, bench and stats only in the commands that use them.
+    "no_report_module_for_fixtures_and_only_json_for_gen": (
+        """import contextlib, io, os
+from extinf.cli import main
+def loaded():
+    return sorted({"csv", "json", "extinf.bench", "extinf.stats"} & sys.modules.keys())
+main(["fixtures", "-o", os.devnull])
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["gen", "--kind", "star", "--nodes", "3", "-o", os.devnull])
+print(loaded())""",
+        "[]\n['json']\n",
+    ),
 }
 
 
