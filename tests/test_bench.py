@@ -1,14 +1,17 @@
 """Timing harness: sample metadata, protocol schedule, report arithmetic."""
 
 import csv
+import importlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import extinf.bench as bench
+import extinf.shortest_path as shortest_path
 from extinf.bench import (
     COMPARISON_CSV_COLUMNS,
     TIMING_CSV_COLUMNS,
@@ -55,6 +58,15 @@ class TestTimeDijkstra:
     def test_unknown_source_propagates(self):
         with pytest.raises(UnknownNodeError):
             time_dijkstra(fixture("Linear_Chain_1"), "Q", SENTINEL, 1)
+
+    def test_invalid_graph_raises_before_timing(self, monkeypatch):
+        # run_comparison checks graphs itself, so only here does a direct
+        # call's check stand between a bad graph and the timed block.
+        fake, calls = _fake_time_block([1.0])
+        monkeypatch.setattr(bench, "_time_block", fake)
+        with pytest.raises(InvalidGraphError, match="negative weight -1"):
+            time_dijkstra({"A": {"B": -1}, "B": {}}, "A", SENTINEL, 1)
+        assert calls == []
 
     def test_sample_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -109,15 +121,14 @@ class TestSchedule:
         assert sum(arm == "sentinel" for _, arm in plan) == per_arm
 
 
-def _fake_time_dijkstra(elapsed_by_call):
-    """A deterministic stand-in recording its call order."""
+def _fake_time_block(elapsed_by_call):
+    """A deterministic stand-in for bench._time_block recording its call order."""
     calls = []
 
-    def fake(graph, source, domain, iterations, *, graph_id="graph"):
-        name = domain if isinstance(domain, str) else domain.name
-        calls.append((graph_id, name))
+    def fake(graph, source, domain, iterations, *, graph_id):
+        calls.append((graph_id, domain.name))
         elapsed = elapsed_by_call[len(calls) - 1]
-        return TimingSample(name, graph_id, source, iterations, elapsed, elapsed / iterations)
+        return TimingSample(domain.name, graph_id, source, iterations, elapsed, elapsed / iterations)
 
     return fake, calls
 
@@ -128,16 +139,16 @@ class TestRunComparison:
             ("g1", fixture("Linear_Chain_1"), "A"),
             ("g2", fixture("Cycle_Graph_1"), "A"),
         ]
-        fake, calls = _fake_time_dijkstra([float(i + 1) for i in range(8)])
-        monkeypatch.setattr(bench, "time_dijkstra", fake)
+        fake, calls = _fake_time_block([float(i + 1) for i in range(8)])
+        monkeypatch.setattr(bench, "_time_block", fake)
         run_comparison(entries, iterations=10, repetitions=2)
         assert calls == schedule(["g1", "g2"], 2)
 
     def test_rows_and_pools_from_known_elapsed(self, monkeypatch):
         entries = [("g1", fixture("Linear_Chain_1"), "A")]
         # elapsed: baseline 2.0, sentinel 1.0, baseline 4.0, sentinel 3.0
-        fake, _ = _fake_time_dijkstra([2.0, 1.0, 4.0, 3.0])
-        monkeypatch.setattr(bench, "time_dijkstra", fake)
+        fake, _ = _fake_time_block([2.0, 1.0, 4.0, 3.0])
+        monkeypatch.setattr(bench, "_time_block", fake)
         rows, report = run_comparison(entries, iterations=10, repetitions=2)
         (row,) = rows
         assert row.baseline_mean == 3.0
@@ -166,8 +177,8 @@ class TestRunComparison:
             ("same", fixture("Cycle_Graph_1"), "A"),
         ]
         # elapsed per call, baseline then sentinel: entry 0 is 1,2,3,4; entry 1 is 5,6,7,8
-        fake, _ = _fake_time_dijkstra([float(i + 1) for i in range(8)])
-        monkeypatch.setattr(bench, "time_dijkstra", fake)
+        fake, _ = _fake_time_block([float(i + 1) for i in range(8)])
+        monkeypatch.setattr(bench, "_time_block", fake)
         rows, _ = run_comparison(entries, iterations=10, repetitions=2)
         assert [(r.graph_id, r.baseline_mean, r.sentinel_mean) for r in rows] == [
             ("same", 2.0, 3.0),
@@ -179,8 +190,8 @@ class TestRunComparison:
             ("g1", fixture("Linear_Chain_1"), "A"),
             ("g2", {"B": {"C": 2}, "C": {}}, "A"),
         ]
-        fake, calls = _fake_time_dijkstra([1.0] * 8)
-        monkeypatch.setattr(bench, "time_dijkstra", fake)
+        fake, calls = _fake_time_block([1.0] * 8)
+        monkeypatch.setattr(bench, "_time_block", fake)
         with pytest.raises(UnknownNodeError, match="'A' in graph 'g2'"):
             run_comparison(entries, iterations=10, repetitions=2)
         assert calls == []
@@ -190,13 +201,13 @@ class TestRunComparison:
             ("Star", fixture("Star_Graph_1"), "A"),
             ("bad", {"A": {"B": -1}, "B": {}}, "A"),
         ]
-        calls, real = [], bench.time_dijkstra
+        calls, real = [], bench._time_block
 
         def spy(*args, **kwargs):
             calls.append(kwargs["graph_id"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(bench, "time_dijkstra", spy)
+        monkeypatch.setattr(bench, "_time_block", spy)
         with pytest.raises(InvalidGraphError) as caught:
             run_comparison(entries, iterations=10, repetitions=2)
         assert str(caught.value) == "graph 'bad': edge 'A' -> 'B': negative weight -1"
@@ -213,6 +224,45 @@ class TestRunComparison:
                 run_comparison([entry, entry], iterations=1, repetitions=repetitions)
         with pytest.raises(ValueError, match="two samples per arm"):
             run_comparison([entry], iterations=1, repetitions=1)
+
+    @pytest.mark.parametrize("iterations", [0, True, 1.5])
+    def test_bad_iterations_fail_before_any_check(self, monkeypatch, iterations):
+        checked = []
+        monkeypatch.setattr(bench, "validate", lambda graph: checked.append(graph) or [])
+        fake, calls = _fake_time_block([1.0] * 4)
+        monkeypatch.setattr(bench, "_time_block", fake)
+        entry = ("g", fixture("Linear_Chain_1"), "A")
+        with pytest.raises(ValueError, match="iterations must be a positive integer"):
+            run_comparison([entry, entry], iterations=iterations, repetitions=1)
+        assert checked == [] and calls == []
+
+    @pytest.mark.parametrize("iterations, repetitions", [(1, 1), (3, 2)])
+    def test_each_graph_checked_once_and_each_block_runs_only_the_kernel(
+        self, monkeypatch, iterations, repetitions
+    ):
+        counts = {"validate": 0, "linear_scan_distances": 0}
+
+        def counting(name, function):
+            def wrapper(*args):
+                counts[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        # Both modules, so a warm-up through dijkstra would count too.
+        for module in (bench, shortest_path):
+            for name in counts:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        entries = [
+            ("chain", fixture("Linear_Chain_1"), "A"),
+            ("star", fixture("Star_Graph_1"), "A"),
+            ("cycle", fixture("Cycle_Graph_1"), "A"),
+        ]
+        run_comparison(entries, iterations=iterations, repetitions=repetitions)
+        assert counts == {
+            "validate": len(entries),
+            "linear_scan_distances": len(entries) * repetitions * 2 * (iterations + 1),
+        }
 
 
 class TestReportSurfaces:
@@ -277,3 +327,17 @@ class TestReportSurfaces:
         assert any(line.startswith("mean of per-graph improvements:") for line in lines)
         assert any(line.startswith("improvement of pooled means:") for line in lines)
         assert "H0 at alpha=0.01" in table
+
+
+def test_perfbench_trace_targets_resolve(monkeypatch):
+    """Every (module, attribute) perfbench's tracer wraps exists, so dropping
+    a name such as bench.dijkstra fails here, not in a traced benchmark run."""
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    )
+    targets = importlib.import_module("harness").TRACE_TARGETS
+    assert targets
+    missing = [
+        f"{module.__name__}.{name}" for module, name, *_ in targets if not hasattr(module, name)
+    ]
+    assert missing == []

@@ -201,7 +201,7 @@ class TestCompare:
         path = tmp_path / "g.json"
         path.write_text('{"B":{"C":2},"C":{}}')
         timed = []
-        monkeypatch.setattr(bench, "time_dijkstra", lambda *args, **kw: timed.append(args))
+        monkeypatch.setattr(bench, "_time_block", lambda *args, **kw: timed.append(args))
         code, _, err = run_cli(
             capsys, "compare", "--fixtures", "Cycle_Graph_1", "--graph", str(path),
             "--source", "A", "--iterations", "1",
