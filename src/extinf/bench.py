@@ -1,14 +1,14 @@
 """Paired timing of the search kernel under both infinity representations.
 
-Protocol: every graph and source is checked once, before anything is timed;
-then, for each graph, repetitions alternate baseline then sentinel (A/B
-interleaving damps thermal and clock-frequency drift between arms).  Each
-timed block is preceded by one untimed warm-up run of the same raw kernel it
-times, with no checks or conversion in it.  time_dijkstra, which ``extinf
-run`` calls, still checks the graph and source on every call.  Elapsed time
-comes from the monotonic high-resolution counter; each result is folded into
-a module-level sink so no run can be skipped as dead code.  Timing is strictly
-sequential and single-threaded; concurrent use would invalidate the samples.
+Protocol: every query passes shortest_path.check_query once, before anything
+is timed; then, for each graph, repetitions alternate baseline then candidate
+(A/B interleaving damps thermal and clock-frequency drift between arms).  The
+two arms are the domains of DOMAINS, baseline first.  Each timed block is
+preceded by one untimed warm-up run of the same raw kernel it times, with no
+checks or conversion in it.  Elapsed time comes from the monotonic
+high-resolution counter; each result is folded into a module-level sink so no
+run can be skipped as dead code.  Timing is strictly sequential and
+single-threaded; concurrent use would invalidate the samples.
 
 Report surfaces:
 
@@ -26,17 +26,14 @@ import io
 import time
 from collections import defaultdict, namedtuple
 
-from .graphs import InvalidGraphError, validate
 from .shortest_path import (
     DOMAINS,
-    IEEE_BASELINE,
-    SENTINEL,
-    UnknownNodeError,
+    check_query,
     dijkstra,  # not called here; tracers wrap bench.dijkstra by name
     get_domain,
     linear_scan_distances,
 )
-from .stats import SampleSet, WelchReport, mean, welch_test
+from .stats import WelchReport, mean, welch_test
 
 __all__ = [
     "COMPARISON_CSV_COLUMNS",
@@ -69,6 +66,7 @@ COMPARISON_CSV_COLUMNS = (
     "improvement_pct",
 )
 
+_ARMS = tuple(DOMAINS)  # (baseline, candidate) domain ids, in DOMAINS' order
 _sink = 0
 
 
@@ -119,18 +117,12 @@ def _time_block(graph, source, domain, iterations, *, graph_id) -> TimingSample:
 def time_dijkstra(graph, source, domain, iterations, *, graph_id="graph") -> TimingSample:
     """Time `iterations` kernel searches after one untimed kernel run.
 
-    The graph and source are checked on every call, before anything runs,
-    with dijkstra's InvalidGraphError and UnknownNodeError; ``extinf run``
-    times through here.  run_comparison checks each graph once, before any
-    timing, and then times its blocks without this check.
+    Each call passes check_query, naming graph_id, before anything runs;
+    ``extinf run`` times through here.
     """
     domain = get_domain(domain)
     _require_positive_int("iterations", iterations)
-    violations = validate(graph)
-    if violations:
-        raise InvalidGraphError(violations)
-    if source not in graph:
-        raise UnknownNodeError(f"unknown source node: {source!r}")
+    check_query(graph, source, graph_id)
     return _time_block(graph, source, domain, iterations, graph_id=graph_id)
 
 
@@ -155,25 +147,20 @@ class ComparisonRow(namedtuple("ComparisonRow", COMPARISON_CSV_COLUMNS)):
 
 
 def schedule(graph_ids, repetitions: int) -> list:
-    """Measurement order: per graph, `repetitions` x (baseline, sentinel)."""
-    return [
-        (graph_id, arm)
-        for graph_id in graph_ids
-        for _ in range(repetitions)
-        for arm in (IEEE_BASELINE.name, SENTINEL.name)
-    ]
+    """Measurement order: per graph, `repetitions` x (baseline, candidate)."""
+    return [(graph_id, arm) for graph_id in graph_ids for _ in range(repetitions) for arm in _ARMS]
 
 
 def run_comparison(entries, iterations: int = 50_000, repetitions: int = 2, alpha: float = 0.01):
     """Run the paired protocol over (graph_id, graph, source) triples.
 
-    The arguments and every graph and source are checked once, first, so a
-    bad one fails, named by its graph id, before anything is timed; timing
-    then follows schedule(), one unchecked warm-up plus timed block each.
-    Returns (rows, report): one ComparisonRow per entry, in input order, from
-    per-graph mean elapsed times, and a WelchReport over the pooled
-    per-iteration times with arm A = sentinel, arm B = baseline (alternative:
-    A is faster).
+    The arguments, then each entry through check_query, are checked first,
+    so a bad one fails, named by its graph id, before anything is timed;
+    timing then follows schedule(), one unchecked warm-up plus timed block
+    each.  Returns (rows, report): one ComparisonRow per entry, in input
+    order, from per-graph mean elapsed times, and a WelchReport over the
+    pooled per-iteration times with arm A = candidate, arm B = baseline
+    (alternative: A is faster).
     """
     entries = list(entries)
     if not entries:
@@ -183,33 +170,23 @@ def run_comparison(entries, iterations: int = 50_000, repetitions: int = 2, alph
     if len(entries) * repetitions < 2:
         raise ValueError("need at least two samples per arm overall")
     for graph_id, graph, source in entries:
-        violations = validate(graph)
-        if violations:
-            raise InvalidGraphError(f"graph {graph_id!r}: {v}" for v in violations)
-        if source not in graph:
-            raise UnknownNodeError(f"unknown source node {source!r} in graph {graph_id!r}")
+        check_query(graph, source, graph_id)
     # Indices, not graph ids, key the samples: ids may repeat.
+    indices = range(len(entries))
     elapsed = defaultdict(list)  # (entry index, arm) -> elapsed per repetition
-    pools = defaultdict(list)  # arm -> per-iteration times over every graph
-    for index, arm in schedule(range(len(entries)), repetitions):
+    for index, arm in schedule(indices, repetitions):
         graph_id, graph, source = entries[index]
         sample = _time_block(graph, source, DOMAINS[arm], iterations, graph_id=graph_id)
         elapsed[index, arm].append(sample.elapsed)
-        pools[arm].append(sample.per_iteration)
     rows = [
-        ComparisonRow.from_means(
-            graph_id,
-            mean(elapsed[index, IEEE_BASELINE.name]),
-            mean(elapsed[index, SENTINEL.name]),
-        )
+        ComparisonRow.from_means(graph_id, *(mean(elapsed[index, arm]) for arm in _ARMS))
         for index, (graph_id, _, _) in enumerate(entries)
     ]
-    report = welch_test(
-        SampleSet(tuple(pools[SENTINEL.name]), label=SENTINEL.name),
-        SampleSet(tuple(pools[IEEE_BASELINE.name]), label=IEEE_BASELINE.name),
-        alpha=alpha,
+    # Each arm's pool holds its per-iteration times in schedule order.
+    baseline, candidate = (
+        [e / iterations for index in indices for e in elapsed[index, arm]] for arm in _ARMS
     )
-    return rows, report
+    return rows, welch_test(candidate, baseline, alpha=alpha)
 
 
 def aggregates(rows, report: WelchReport) -> dict:

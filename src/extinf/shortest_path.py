@@ -6,8 +6,9 @@ binary64 numbers either way, so the two domains are distinguishable only by
 how "unreached" is spelled, never by the distances they produce.
 
 Node selection is a linear scan over the unvisited set (no priority queue),
-the variant the benchmark harness measures.  bellman_ford is an independently
-coded reference used to cross-check results.
+the variant the benchmark harness measures.  check_query is the one check of
+a query's graph and source, for dijkstra and the benchmark harness alike.
+bellman_ford is an independently coded reference used to cross-check results.
 """
 
 import math
@@ -23,6 +24,7 @@ __all__ = [
     "UnknownNodeError",
     "WeightDomain",
     "bellman_ford",
+    "check_query",
     "dijkstra",
     "distances_from_jsonable",
     "distances_to_jsonable",
@@ -63,6 +65,20 @@ def get_domain(domain) -> WeightDomain:
         raise ValueError(f"unknown weight domain: {domain!r}") from None
 
 
+def check_query(graph: dict, source: str, graph_id=None) -> None:
+    """Raise InvalidGraphError unless graph is valid, then UnknownNodeError
+    unless it holds source; with a graph_id, each message names the graph."""
+    violations = validate(graph)
+    if violations:
+        if graph_id is not None:
+            violations = [f"graph {graph_id!r}: {v}" for v in violations]
+        raise InvalidGraphError(violations)
+    if source not in graph:
+        if graph_id is None:
+            raise UnknownNodeError(f"unknown source node: {source!r}")
+        raise UnknownNodeError(f"unknown source node {source!r} in graph {graph_id!r}")
+
+
 def linear_scan_distances(graph: dict, source: str, infinity) -> dict:
     """Raw search kernel: no validation, distances as in-domain values.
 
@@ -90,11 +106,7 @@ def dijkstra(graph: dict, source: str, domain=SENTINEL) -> dict:
     representation and nothing else; both domains return equal results.
     """
     domain = get_domain(domain)
-    violations = validate(graph)
-    if violations:
-        raise InvalidGraphError(violations)
-    if source not in graph:
-        raise UnknownNodeError(f"unknown source node: {source!r}")
+    check_query(graph, source)
     raw = linear_scan_distances(graph, source, domain.infinity)
     return {node: v if v is INFINITY else from_binary64(v) for node, v in raw.items()}
 

@@ -153,8 +153,13 @@ def student_t_cdf(t: float, df: float) -> float:
         raise ValueError("t must be a number")
     if t == 0.0:
         return 0.5
-    x = df / (df + t * t)
-    upper_tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
+    t2 = t * t
+    if t2 < df * 2.0**-26:
+        # df / (df + t2) would round so near 1 that 1 minus it keeps under
+        # half its bits, so pass the small complement: I_x(a,b) = 1 - I_{1-x}(b,a).
+        upper_tail = 0.5 - 0.5 * regularized_incomplete_beta(0.5, df / 2.0, t2 / (df + t2))
+    else:
+        upper_tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t2))
     return upper_tail if t < 0 else 1.0 - upper_tail
 
 

@@ -228,7 +228,7 @@ class TestRunComparison:
     @pytest.mark.parametrize("iterations", [0, True, 1.5])
     def test_bad_iterations_fail_before_any_check(self, monkeypatch, iterations):
         checked = []
-        monkeypatch.setattr(bench, "validate", lambda graph: checked.append(graph) or [])
+        monkeypatch.setattr(shortest_path, "validate", lambda graph: checked.append(graph) or [])
         fake, calls = _fake_time_block([1.0] * 4)
         monkeypatch.setattr(bench, "_time_block", fake)
         entry = ("g", fixture("Linear_Chain_1"), "A")
@@ -249,10 +249,12 @@ class TestRunComparison:
 
             return wrapper
 
+        validate = counting("validate", shortest_path.validate)
+        monkeypatch.setattr(shortest_path, "validate", validate)
         # Both modules, so a warm-up through dijkstra would count too.
         for module in (bench, shortest_path):
-            for name in counts:
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+            kernel = counting("linear_scan_distances", module.linear_scan_distances)
+            monkeypatch.setattr(module, "linear_scan_distances", kernel)
         entries = [
             ("chain", fixture("Linear_Chain_1"), "A"),
             ("star", fixture("Star_Graph_1"), "A"),
@@ -329,15 +331,39 @@ class TestReportSurfaces:
         assert "H0 at alpha=0.01" in table
 
 
-def test_perfbench_trace_targets_resolve(monkeypatch):
-    """Every (module, attribute) perfbench's tracer wraps exists, so dropping
-    a name such as bench.dijkstra fails here, not in a traced benchmark run."""
+def _perfbench_module(monkeypatch, name):
+    """Import a module of perfbench/, which is a directory on sys.path, not a package."""
     monkeypatch.syspath_prepend(
         os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
     )
-    targets = importlib.import_module("harness").TRACE_TARGETS
+    return importlib.import_module(name)
+
+
+def test_perfbench_trace_targets_resolve(monkeypatch):
+    """Every (module, attribute) perfbench's tracer wraps exists, so dropping
+    a name such as bench.dijkstra fails here, not in a traced benchmark run."""
+    targets = _perfbench_module(monkeypatch, "harness").TRACE_TARGETS
     assert targets
     missing = [
         f"{module.__name__}.{name}" for module, name, *_ in targets if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_perfbench_tracer_sees_every_query_check(monkeypatch):
+    """Queries are checked through shortest_path.validate, the name perfbench's
+    tracer wraps, so a traced verdict shows each entry's check as a
+    graphs.validate span instead of counting it in its own self time."""
+    targets = _perfbench_module(monkeypatch, "harness").TRACE_TARGETS
+    tracing = _perfbench_module(monkeypatch, "tracing")
+    tracer = tracing.Tracer()
+    names = ("Linear_Chain_1", "Star_Graph_1", "Cycle_Graph_1")
+    with tracing.installed(tracer, targets):
+        # Through the module, since the tracer replaces module attributes.
+        bench.run_comparison([(n, fixture(n), "A") for n in names], iterations=1, repetitions=1)
+        bench.time_dijkstra(fixture("Linear_Chain_1"), "A", SENTINEL, 1)
+    comparison, timing = tracer.drain()
+    assert comparison[0][0] == "bench.run_comparison"
+    assert [span[0] for span in comparison].count("graphs.validate") == len(names)
+    assert timing[0][0] == "bench.time_dijkstra"
+    assert [span[0] for span in timing].count("graphs.validate") == 1

@@ -154,6 +154,20 @@ class TestRun:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--fixture", "--graph"])
+    def test_unknown_source_names_the_graph(self, capsys, tmp_path, monkeypatch, flag):
+        graph_id = "Star_Graph_1"
+        if flag == "--graph":
+            path = tmp_path / "g.json"
+            path.write_text('{"A":{"B":2},"B":{}}')
+            graph_id = str(path)
+        timed = []
+        monkeypatch.setattr(bench, "_time_block", lambda *args, **kw: timed.append(args))
+        code, _, err = run_cli(capsys, "run", flag, graph_id, "--source", "Z", "--iterations", "1")
+        assert code == 1
+        assert f"unknown source node 'Z' in graph {graph_id!r}" in err
+        assert timed == []
+
 
 class TestCompare:
     def test_fixtures_all_json(self, capsys):

@@ -17,6 +17,7 @@ from extinf.shortest_path import (
     UnknownNodeError,
     WeightDomain,
     bellman_ford,
+    check_query,
     dijkstra,
     distances_from_jsonable,
     distances_to_jsonable,
@@ -171,6 +172,9 @@ class TestTieBreaking:
         assert runs[0]["4"] == finite(4)
 
 
+NEGATIVE = {"A": {"B": -1}, "B": {}}
+
+
 class TestErrors:
     def test_unknown_source(self):
         with pytest.raises(UnknownNodeError, match="'Q'"):
@@ -181,6 +185,29 @@ class TestErrors:
     def test_invalid_graph(self):
         with pytest.raises(InvalidGraphError, match="'B'"):
             dijkstra({"A": {"B": 1}}, "A")
+
+    @pytest.mark.parametrize(
+        "graph, source, graph_id, error, message",
+        [
+            ({"A": {}}, "Q", None, UnknownNodeError, "unknown source node: 'Q'"),
+            ({"A": {}}, "Q", "g", UnknownNodeError, "unknown source node 'Q' in graph 'g'"),
+            (NEGATIVE, "A", None, InvalidGraphError, "edge 'A' -> 'B': negative weight -1"),
+            (
+                NEGATIVE, "A", "g", InvalidGraphError,
+                "graph 'g': edge 'A' -> 'B': negative weight -1",
+            ),
+        ],
+    )
+    def test_check_query_names_the_graph_only_when_given_an_id(
+        self, graph, source, graph_id, error, message
+    ):
+        calls = [lambda: check_query(graph, source, graph_id)]
+        if graph_id is None:
+            calls.append(lambda: dijkstra(graph, source))
+        for call in calls:
+            with pytest.raises(error) as caught:
+                call()
+            assert str(caught.value) == message
 
 
 class TestSerialization:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -214,6 +214,11 @@ class TestWelch:
         st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
     )
     @settings(max_examples=200)
+    @example(
+        a=[0.0, 0.0, 0.0, 0.0, 0.0, 879719.0, 0.5, 0.5, 0.5],
+        b=[0.0, 0.0, 0.0, 0.0, 879719.0, 0.5, 0.5, 0.5, 0.5],
+        k=933.0,
+    )
     def test_scale_equivariance(self, a, b, k):
         assume(len(set(a)) > 1 or len(set(b)) > 1)
         base = welch_test(a, b)
