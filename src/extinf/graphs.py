@@ -9,8 +9,9 @@ canonical (keys sorted, integral weights written as integers) so equal graphs
 always serialize to identical bytes.
 
 ``parse_graph`` and ``validate`` check every edge weight, so both loops first
-try one inline test that accepts a plain ``float`` or ``int`` in range without
-a function call; it accepts only weights that ``_check_weight`` accepts, and
+try one inline test that accepts a plain ``int`` or ``float`` in range without
+a function call, ``int`` first because bundled and generated graphs hold int
+weights; it accepts only weights that ``_check_weight`` accepts, and
 every other weight goes to ``_check_weight``, which words the error.  Its int
 bound is ``weights._ROUNDS_TO_INF``, the smallest int that rounds to +inf.  The rule
 itself is ``_weight_problem``, which ``generators`` shares for explicit weights.
@@ -116,8 +117,8 @@ def parse_graph(text: str) -> dict:
             )
         for neighbor, w in neighbors.items():
             if not (
-                (type(w) is float and 0.0 <= w < math.inf)
-                or (type(w) is int and 0 <= w < _ROUNDS_TO_INF)
+                (type(w) is int and 0 <= w < _ROUNDS_TO_INF)
+                or (type(w) is float and 0.0 <= w < math.inf)
             ):
                 problem = _check_weight(node, neighbor, w)
                 if problem is not None:
@@ -222,8 +223,8 @@ def validate(graph: dict) -> list:
                     f"edge {node!r} -> {neighbor!r}: target is not a node of the graph"
                 )
             if not (
-                (type(w) is float and 0.0 <= w < math.inf)
-                or (type(w) is int and 0 <= w < _ROUNDS_TO_INF)
+                (type(w) is int and 0 <= w < _ROUNDS_TO_INF)
+                or (type(w) is float and 0.0 <= w < math.inf)
             ):
                 problem = _check_weight(node, neighbor, w)
                 if problem is not None:

@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 
 from .graphs import InvalidGraphError, validate
-from .weights import INFINITY, canonical_number, from_binary64, parse_weight
+from .weights import INFINITY, ExtendedWeight, canonical_number, from_binary64, parse_weight
 
 __all__ = [
     "DOMAINS",
@@ -44,9 +44,29 @@ class WeightDomain(namedtuple("WeightDomain", "name infinity")):
     the host operators in both: IEEE infinity through ordinary float
     arithmetic, the sentinel through its own operator overloads, which agree
     with IEEE arithmetic on binary64 images.
+
+    The infinity must have the binary64 image +inf (``infinity == INFINITY``),
+    or the constructor raises ValueError naming the domain: a finite stand-in
+    would be overtaken by real distances and read as a cost.  With that image,
+    every finite candidate beats it and no infinite one does, so a node the
+    search never reaches still holds this very object when the search ends,
+    which is how ``dijkstra`` tells it apart.  _make (and _replace, which calls
+    it) builds through the constructor, so neither skips the check.
     """
 
     __slots__ = ()
+
+    def __new__(cls, name, infinity):
+        if not infinity == INFINITY:
+            raise ValueError(
+                f"weight domain {name!r}: infinity must have the binary64 image +inf, "
+                f"got {infinity!r}"
+            )
+        return super().__new__(cls, name, infinity)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 IEEE_BASELINE = WeightDomain("ieee_baseline", math.inf)
@@ -104,11 +124,17 @@ def dijkstra(graph: dict, source: str, domain=SENTINEL) -> dict:
 
     Unreachable nodes map to INFINITY.  domain picks the internal infinity
     representation and nothing else; both domains return equal results.
+    The kernel stores only a finite candidate that beats a node's value, and
+    a domain's infinity has the image +inf, so a node is unreached exactly
+    when it still holds the domain's own infinity object.  The conversion
+    tests that identity under either domain; every other value is a finite
+    binary64 cost.
     """
     domain = get_domain(domain)
     check_query(graph, source)
-    raw = linear_scan_distances(graph, source, domain.infinity)
-    return {node: v if v is INFINITY else from_binary64(v) for node, v in raw.items()}
+    infinity = domain.infinity
+    raw = linear_scan_distances(graph, source, infinity)
+    return {node: INFINITY if v is infinity else ExtendedWeight(v) for node, v in raw.items()}
 
 
 def bellman_ford(graph: dict, source: str) -> dict:

@@ -58,6 +58,7 @@ _MAX_EXACT_INT = 2**53
 # Smallest int whose binary64 image is +inf: the midpoint of the largest
 # finite double, 2**1024 - 2**971, and 2**1024, since ties round to even (up).
 _ROUNDS_TO_INF = 2**1024 - 2**970
+_INF = math.inf
 
 
 class Ordering(enum.Enum):
@@ -108,11 +109,11 @@ class ExtendedWeight:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError(f"weight must be a real number, got {type(value).__name__}")
             value = _float(value)
-        if math.isnan(value):
-            raise ValueError("weight cannot be NaN")
-        if value < 0:
-            raise ValueError(f"weight cannot be negative: {value!r}")
-        if math.isinf(value):
+        if not 0.0 <= value < _INF:  # also false for NaN; the tests below word it
+            if math.isnan(value):
+                raise ValueError("weight cannot be NaN")
+            if value < 0:
+                raise ValueError(f"weight cannot be negative: {value!r}")
             raise ValueError("use INFINITY for an infinite weight")
         self._value = value + 0.0  # folds -0.0 into +0.0
 

@@ -153,13 +153,42 @@ class TestDomains:
             lambda w: pickle.loads(pickle.dumps(w)),
             lambda w: from_binary64(math.inf),
             lambda w: parse_weight("inf"),
+            lambda w: float("inf"),
+            lambda w: 10**400,
         ],
-        ids=["copy", "deepcopy", "pickle", "from_binary64", "parse_weight"],
+        ids=[
+            "copy", "deepcopy", "pickle", "from_binary64", "parse_weight",
+            "float_inf", "10**400",
+        ],
     )
     def test_copied_sentinel_marks_unreachable(self, copier):
-        graph = fixture("Disconnected_Graph_1")
-        domain = WeightDomain("sentinel", copier(INFINITY))
-        assert dijkstra(graph, "A", domain) == dijkstra(graph, "A", SENTINEL)
+        # The last two are not INFINITY, and float("inf") is not math.inf:
+        # each unreached node must still come back as INFINITY itself.
+        for graph, unreached in (
+            (fixture("Disconnected_Graph_1"), ("X", "Y")),
+            ({"A": {"B": 1e308}, "B": {"C": 1e308}, "C": {}, "D": {}}, ("C", "D")),
+        ):
+            stand_in = WeightDomain("stand-in", copier(INFINITY))
+            for domain in (stand_in, IEEE_BASELINE, SENTINEL):
+                result = dijkstra(graph, "A", domain)
+                assert result == bellman_ford(graph, "A")
+                assert all(result[node] is INFINITY for node in unreached)
+
+    @pytest.mark.parametrize(
+        "infinity",
+        [1e9, -math.inf, math.nan, "inf", finite(1)],
+        ids=["1e9", "-inf", "nan", "str", "finite"],
+    )
+    def test_domain_infinity_must_be_plus_inf(self, infinity):
+        # A finite stand-in such as 1e9 would be overtaken by real costs: a
+        # node at 2e9 and an unreachable one would both read finite(1e9).
+        message = "^weight domain 'x': infinity must have the binary64 image \\+inf, got "
+        with pytest.raises(ValueError, match=message):
+            WeightDomain("x", infinity)
+        with pytest.raises(ValueError, match=message):
+            WeightDomain._make(["x", infinity])
+        with pytest.raises(ValueError, match="^weight domain 'x': "):
+            IEEE_BASELINE._replace(name="x", infinity=infinity)
 
 
 class TestTieBreaking:

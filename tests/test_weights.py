@@ -149,13 +149,21 @@ class TestBinary64:
 
 class TestConstruction:
     @pytest.mark.parametrize(
-        "bad",
-        [-1, -0.5, math.nan, math.inf]
-        + [pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
+        "bad, message",
+        [
+            pytest.param(-1, "weight cannot be negative: -1.0", id="-1"),
+            pytest.param(-0.5, "weight cannot be negative: -0.5", id="-0.5"),
+            pytest.param(math.nan, "weight cannot be NaN", id="nan"),
+            pytest.param(math.inf, "use INFINITY for an infinite weight", id="inf"),
+            pytest.param(-math.inf, "weight cannot be negative: -inf", id="-inf"),
+            pytest.param(10**400, "use INFINITY for an infinite weight", id="10**400"),
+            pytest.param(-(10**400), "weight cannot be negative: -inf", id="-10**400"),
+        ],
     )
-    def test_finite_rejects_out_of_domain(self, bad):
-        with pytest.raises(ValueError):
+    def test_finite_rejects_out_of_domain(self, bad, message):
+        with pytest.raises(ValueError) as caught:
             finite(bad)
+        assert str(caught.value) == message
 
     def test_finite_rejects_non_numbers(self):
         with pytest.raises(TypeError):
