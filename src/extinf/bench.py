@@ -76,7 +76,11 @@ def _consume(result):
 
 
 class TimingSample(namedtuple("TimingSample", TIMING_CSV_COLUMNS)):
-    """One measured repetition of an iteration block."""
+    """One measured repetition of an iteration block.
+
+    _make (and _replace, which calls it) builds through the constructor, so
+    neither skips its checks.
+    """
 
     __slots__ = ()
 
@@ -88,6 +92,10 @@ class TimingSample(namedtuple("TimingSample", TIMING_CSV_COLUMNS)):
         if per_iteration != elapsed / iterations:
             raise ValueError("per_iteration must equal elapsed/iterations")
         return super().__new__(cls, impl, graph_id, source, iterations, elapsed, per_iteration)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _require_positive_int(name, value):

@@ -179,7 +179,8 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind node_count weight_range se
     upper bound and uses the lower bound for every edge.  weights, when given,
     replaces seeded weights with an explicit per-edge list, only for kinds
     whose edge order is canonical (linear_chain, star, cycle); it is stored
-    as a tuple.
+    as a tuple.  _make (and _replace, which calls it) builds through the
+    constructor, so neither skips its checks.
     """
 
     __slots__ = ()
@@ -218,6 +219,10 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind node_count weight_range se
                 if problem is not None:
                     raise ValueError(f"bad explicit weight: {problem}")
         return super().__new__(cls, kind, node_count, weight_range, seed, weights)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _node_names(count):

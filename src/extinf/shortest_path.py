@@ -6,16 +6,20 @@ binary64 numbers either way, so the two domains are distinguishable only by
 how "unreached" is spelled, never by the distances they produce.
 
 Node selection is a linear scan over the unvisited set (no priority queue),
-the variant the benchmark harness measures.  check_query is the one check of
-a query's graph and source, for dijkstra and the benchmark harness alike.
-bellman_ford is an independently coded reference used to cross-check results.
+the variant the benchmark harness measures.  Around that loop a search pays
+as little interpreter work as it can: the kernel builds its table and binds
+its scan key without a Python frame, and dijkstra converts the kernel's map
+to weights in place, in one frame for the whole map.  check_query is the
+one check of a query's graph and source, for dijkstra and the benchmark
+harness alike.  bellman_ford is an independently coded reference used to
+cross-check results.
 """
 
 import math
 from collections import namedtuple
 
 from .graphs import InvalidGraphError, validate
-from .weights import INFINITY, ExtendedWeight, canonical_number, from_binary64, parse_weight
+from .weights import INFINITY, _from_search, canonical_number, from_binary64, parse_weight
 
 __all__ = [
     "DOMAINS",
@@ -103,13 +107,17 @@ def linear_scan_distances(graph: dict, source: str, infinity) -> dict:
     """Raw search kernel: no validation, distances as in-domain values.
 
     This is the exact loop the benchmark harness times.  Ties in the minimum
-    scan go to the lexicographically smallest unvisited node id.
+    scan go to the lexicographically smallest unvisited node id.  The table
+    comes from ``dict.fromkeys``, which runs no Python frame, and the scan
+    key is bound once, before the loop.  Which comparisons and additions
+    ``infinity`` sees, and in what order, the tests pin by count.
     """
     unvisited = sorted(graph)
-    distances = {node: infinity for node in graph}
+    distances = dict.fromkeys(graph, infinity)
     distances[source] = 0.0
+    key = distances.__getitem__
     while unvisited:
-        current = min(unvisited, key=distances.__getitem__)
+        current = min(unvisited, key=key)
         base = distances[current]
         for neighbor, weight in graph[current].items():
             candidate = base + weight
@@ -128,13 +136,14 @@ def dijkstra(graph: dict, source: str, domain=SENTINEL) -> dict:
     a domain's infinity has the image +inf, so a node is unreached exactly
     when it still holds the domain's own infinity object.  The conversion
     tests that identity under either domain; every other value is a finite
-    binary64 cost.
+    binary64 cost, filled into a weight without a Python frame per node.  A
+    value outside the domain, which only an operand with its own ``+`` can
+    put there, goes through ExtendedWeight and raises as it would.
     """
     domain = get_domain(domain)
     check_query(graph, source)
     infinity = domain.infinity
-    raw = linear_scan_distances(graph, source, infinity)
-    return {node: INFINITY if v is infinity else ExtendedWeight(v) for node, v in raw.items()}
+    return _from_search(linear_scan_distances(graph, source, infinity), infinity)
 
 
 def bellman_ford(graph: dict, source: str) -> dict:

@@ -242,6 +242,28 @@ def from_binary64(x) -> ExtendedWeight:
     return INFINITY if x == math.inf else ExtendedWeight(x)
 
 
+def _from_search(distances: dict, infinity) -> dict:
+    """Convert a search's fresh distance map to weights in place; return it.
+
+    A value that is ``infinity`` itself becomes ``INFINITY``.  A plain float
+    in ``[0, inf)`` passes every check of ``__init__``, so its weight is
+    allocated and filled here without that call; any other value goes
+    through ``ExtendedWeight``, which raises for one outside the domain.
+    The whole map costs one Python frame, not one per node.
+    """
+    new = object.__new__
+    for node, value in distances.items():
+        if value is infinity:
+            distances[node] = INFINITY
+        elif type(value) is float and 0.0 <= value < _INF:
+            weight = new(ExtendedWeight)
+            weight._value = value + 0.0  # folds -0.0 into +0.0, as __init__ does
+            distances[node] = weight
+        else:
+            distances[node] = ExtendedWeight(value)
+    return distances
+
+
 def canonical_number(x: float):
     """Minimal JSON-friendly form: an int when exactly integral, else the float."""
     x = float(x)

@@ -120,6 +120,36 @@ def test_sample_set_replace_and_make_go_through_the_constructor():
         three._replace(size=3)
 
 
+def test_generator_spec_and_timing_sample_rebuild_through_the_constructor():
+    spec = GeneratorSpec("star", 3)
+    assert spec._replace(weights=[1, 2]) == GeneratorSpec("star", 3, weights=(1, 2))
+    assert type(spec._replace(weights=[1, 2]).weights) is tuple
+    assert GeneratorSpec._make(["grid", 16, (1, 10), 0, None]) == GeneratorSpec("grid", 16)
+    assert SAMPLES[0]._replace(graph_id="h") == TimingSample("sentinel", "h", "A", 4, 0.5, 0.125)
+
+
+@pytest.mark.parametrize(
+    "rebuild, message",
+    [
+        (lambda: GeneratorSpec("star", 3)._replace(weights=(1,)), "star with 3 nodes needs 2 "),
+        (
+            lambda: GeneratorSpec("grid", 16)._replace(node_count=15),
+            "grid node_count must be a perfect square, got 15",
+        ),
+        (lambda: GeneratorSpec._make(["nope", 3, (1, 10), 0, None]), "unknown generator kind"),
+        (lambda: SAMPLES[0]._replace(elapsed=-1.0), "elapsed time cannot be negative"),
+        (
+            lambda: TimingSample._make(["sentinel", "g", "A", 0, 0.0, 0.0]),
+            "iterations must be at least 1",
+        ),
+    ],
+    ids=["spec_weights", "spec_grid", "spec_make", "sample_replace", "sample_make"],
+)
+def test_rebuilt_records_are_checked_like_new_ones(rebuild, message):
+    with pytest.raises(ValueError, match="^" + message):
+        rebuild()
+
+
 # Every name the package re-exported when it imported each of its modules.
 _REEXPORTED = (
     "CATEGORIES FIXTURE_NAMES ROAD_ROUTES UnknownFixtureError fixture primary_fixture_names "

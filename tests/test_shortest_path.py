@@ -1,5 +1,6 @@
 """Search correctness: fixtures, oracle equivalence, domain interchangeability."""
 
+import collections
 import copy
 import math
 import pickle
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs_with_source
-from extinf.fixtures import FIXTURE_NAMES, fixture
-from extinf.graphs import InvalidGraphError
+from extinf.fixtures import FIXTURE_NAMES, fixture, primary_fixture_names
+from extinf.generators import GeneratorSpec, generate
+from extinf.graphs import InvalidGraphError, validate
 from extinf.shortest_path import (
     DOMAINS,
     IEEE_BASELINE,
@@ -24,7 +26,7 @@ from extinf.shortest_path import (
     get_domain,
     linear_scan_distances,
 )
-from extinf.weights import INFINITY, finite, from_binary64, parse_weight
+from extinf.weights import INFINITY, ExtendedWeight, finite, from_binary64, parse_weight
 from helpers import enumerate_shortest, reachable
 
 
@@ -189,6 +191,91 @@ class TestDomains:
             WeightDomain._make(["x", infinity])
         with pytest.raises(ValueError, match="^weight domain 'x': "):
             IEEE_BASELINE._replace(name="x", infinity=infinity)
+
+
+def counting_infinity():
+    """A float +inf that tallies each operator call made on it, and the tally.
+
+    ``+`` returns the infinity itself, as ``INFINITY`` absorbs, so an unreached
+    node keeps holding this object and every later use of it is counted too.
+    """
+    counts = collections.Counter()
+
+    class Counting(float):
+        def __lt__(self, other):
+            counts["<"] += 1
+            return float.__lt__(self, other)
+
+        def __le__(self, other):
+            counts["<="] += 1
+            return float.__le__(self, other)
+
+        def __gt__(self, other):
+            counts[">"] += 1
+            return float.__gt__(self, other)
+
+        def __ge__(self, other):
+            counts[">="] += 1
+            return float.__ge__(self, other)
+
+        def __add__(self, other):
+            counts["+"] += 1
+            return self
+
+        __radd__ = __add__
+
+    return Counting(math.inf), counts
+
+
+class TestKernelLogic:
+    def test_operator_calls_on_the_infinity_are_pinned(self):
+        # The paper's comparison holds the search logic fixed, so a change to
+        # the kernel's plumbing must leave every comparison and addition the
+        # infinity sees, and their number, as these counts pin them.
+        graphs = [fixture(name) for name in primary_fixture_names()] + [
+            generate(GeneratorSpec(kind, 400, seed=5)) for kind in ("grid", "disconnected")
+        ]
+        infinity, counts = counting_infinity()
+        for graph in graphs:
+            raw = linear_scan_distances(graph, min(graph), infinity)
+            assert raw.keys() == graph.keys()
+        assert counts == {"<": 151_199, ">": 778, "+": 56}
+
+
+class _AddsTo(float):
+    """A weight that passes validate (its value is 1.0), but whose reflected
+    ``+`` answers a fixed result: a way to put any value into the kernel's map."""
+
+    def __new__(cls, result):
+        weight = super().__new__(cls, 1.0)
+        weight.result = result
+        return weight
+
+    def __radd__(self, other):
+        return self.result
+
+
+class TestConversion:
+    @pytest.mark.parametrize("domain", [IEEE_BASELINE, SENTINEL])
+    def test_finite_results_are_plain_weights_equal_to_the_oracle(self, domain):
+        # The last graph puts an int into the raw map, which takes the
+        # conversion's general path through ExtendedWeight(v).
+        cases = [(fixture(name), source) for name in FIXTURE_NAMES for source in fixture(name)]
+        cases.append(({"A": {"B": _AddsTo(2)}, "B": {}, "C": {}}, "A"))
+        for graph, source in cases:
+            assert validate(graph) == []
+            result = dijkstra(graph, source, domain)
+            assert result == bellman_ford(graph, source)
+            for weight in result.values():
+                assert weight is INFINITY or type(weight) is ExtendedWeight
+        assert result == {"A": finite(0), "B": finite(2), "C": INFINITY}
+
+    @pytest.mark.parametrize("domain", [IEEE_BASELINE, SENTINEL])
+    def test_an_out_of_domain_kernel_value_still_raises(self, domain):
+        graph = {"A": {"B": _AddsTo(-1.0)}, "B": {}}
+        assert validate(graph) == []
+        with pytest.raises(ValueError, match=r"^weight cannot be negative: -1\.0$"):
+            dijkstra(graph, "A", domain)
 
 
 class TestTieBreaking:

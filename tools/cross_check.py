@@ -9,7 +9,8 @@ It puts this checkout's ``src/`` on the import path and checks:
 1. Every bundled fixture from every source, and ``GRAPHS_PER_KIND`` seeded
    graphs of each generator kind from their first node: ``dijkstra`` returns
    the same map under both domains, equal to ``bellman_ford``, with every
-   unreached node mapped to ``INFINITY`` itself.
+   unreached node mapped to ``INFINITY`` itself and every reached one to a
+   plain ``ExtendedWeight``.
 2. ``finite`` rejects each out-of-domain value with its exact message.
 3. ``WeightDomain`` accepts the infinities whose binary64 image is +inf and
    rejects the others.
@@ -36,7 +37,7 @@ from extinf.shortest_path import (  # noqa: E402
     bellman_ford,
     dijkstra,
 )
-from extinf.weights import INFINITY, finite  # noqa: E402
+from extinf.weights import INFINITY, ExtendedWeight, finite  # noqa: E402
 
 GRAPHS_PER_KIND = 20
 
@@ -58,7 +59,7 @@ def search_problems(graph_id, graph, sources):
         for domain in (IEEE_BASELINE, SENTINEL):
             result = dijkstra(graph, source, domain)
             if result != oracle or any(
-                w.is_infinite and w is not INFINITY for w in result.values()
+                w is not INFINITY and type(w) is not ExtendedWeight for w in result.values()
             ):
                 problems.append(f"{graph_id} from {source!r} under {domain.name}")
     return problems
