@@ -3,12 +3,11 @@
 Protocol: every query passes shortest_path.check_query once, before anything
 is timed; then, for each graph, repetitions alternate baseline then candidate
 (A/B interleaving damps thermal and clock-frequency drift between arms).  The
-two arms are the domains of DOMAINS, baseline first.  Each timed block is
-preceded by one untimed warm-up run of the same raw kernel it times, with no
-checks or conversion in it.  Elapsed time comes from the monotonic
-high-resolution counter; each result is folded into a module-level sink so no
-run can be skipped as dead code.  Timing is strictly sequential and
-single-threaded; concurrent use would invalidate the samples.
+two arms are the domains of DOMAINS, baseline first.  A timed block holds the
+raw kernel and nothing else, and is preceded by one untimed run of it.
+Elapsed time comes from the monotonic high-resolution counter.  Timing is
+strictly sequential and single-threaded; concurrent use would invalidate the
+samples.
 
 Report surfaces:
 
@@ -67,12 +66,6 @@ COMPARISON_CSV_COLUMNS = (
 )
 
 _ARMS = tuple(DOMAINS)  # (baseline, candidate) domain ids, in DOMAINS' order
-_sink = 0
-
-
-def _consume(result):
-    global _sink
-    _sink ^= len(result)
 
 
 class TimingSample(namedtuple("TimingSample", TIMING_CSV_COLUMNS)):
@@ -106,11 +99,11 @@ def _require_positive_int(name, value):
 def _time_block(graph, source, domain, iterations, *, graph_id) -> TimingSample:
     """One untimed kernel run, then `iterations` timed ones; inputs unchecked."""
     infinity = domain.infinity
-    _consume(linear_scan_distances(graph, source, infinity))
+    linear_scan_distances(graph, source, infinity)
     clock = time.perf_counter
     start = clock()
     for _ in range(iterations):
-        _consume(linear_scan_distances(graph, source, infinity))
+        linear_scan_distances(graph, source, infinity)
     elapsed = clock() - start
     return TimingSample(
         impl=domain.name,

@@ -46,6 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, metavar="S", help=f"defaults to ${SEED_ENV_VAR}, then 0"
     )
     gen.add_argument("-o", "--output", metavar="FILE")
+    gen.set_defaults(handler=cmd_gen)
 
     run = sub.add_parser("run", help="time one arm on one graph, emit timing CSV")
     run.add_argument("--graph", metavar="FILE")
@@ -55,6 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--iterations", type=int, default=50_000)
     run.add_argument("--repetitions", type=int, default=1)
     run.add_argument("-o", "--output", metavar="FILE")
+    run.set_defaults(handler=cmd_run)
 
     compare = sub.add_parser(
         "compare", help="paired baseline/sentinel benchmark plus Welch's t-test"
@@ -69,12 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--alpha", type=float, default=0.01)
     compare.add_argument("--format", choices=("table", "csv", "json"), default="table")
     compare.add_argument("-o", "--output", metavar="FILE")
+    compare.set_defaults(handler=cmd_compare)
 
     ttest = sub.add_parser("ttest", help="Welch's t-test over two CSV sample files")
     ttest.add_argument("samples_a", metavar="A.csv")
     ttest.add_argument("samples_b", metavar="B.csv")
     ttest.add_argument("--alpha", type=float, default=0.01)
     ttest.add_argument("--format", choices=("json", "verdict"), default="json")
+    ttest.set_defaults(handler=cmd_ttest)
 
     fixtures_cmd = sub.add_parser("fixtures", help="list or emit the bundled graphs")
     fixtures_cmd.add_argument("--emit", metavar="NAME")
@@ -82,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--routes", action="store_true", help="list the road-route endpoint metadata"
     )
     fixtures_cmd.add_argument("-o", "--output", metavar="FILE")
+    fixtures_cmd.set_defaults(handler=cmd_fixtures)
 
     return parser
 
@@ -330,26 +335,14 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "gen": cmd_gen,
-    "run": cmd_run,
-    "compare": cmd_compare,
-    "ttest": cmd_ttest,
-    "fixtures": cmd_fixtures,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except _UsageError as exc:
+        return args.handler(args)
+    except (_UsageError, OSError, ValueError, LookupError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, LookupError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
 
 
 def run():

@@ -8,27 +8,11 @@ order.
 
 SplitMix64's k-th output is a fixed mix of ``seed + k * gamma mod 2**64``
 (Steele, Lea and Flood, "Fast splittable pseudorandom number generators",
-OOPSLA 2014), so ``SplitMix64`` mixes a block of outputs at once instead of
-paying the interpreter for each shift, xor and multiply of each one.  It packs
-the block's states into 128-bit lanes of one Python int, runs every mixing
-step on that int with the lanes masked back to 64 bits, so that no shift or
-product carries into the next lane, and unpacks the low words through a
-``memoryview``.  The loops over lanes are then the int type's C loops.  Every
-block holds 512 outputs, and the lane constants are built on first use, not
-on import, since a search never generates.
-
-``SplitMix64.randints`` draws many bounded values at once without a call per
-draw.  For a span below 256 the rejection mask fits in a byte, and only an
-output's low byte decides both its value and whether it is kept, so each
-block also keeps its lanes' low bytes as one ``bytes`` object.  One
-``bytes.translate`` with a cached 256-byte table and a delete set then masks,
-offsets and rejects the whole unread block in C.  The stream invariant: the
-values returned, and the next output the generator yields afterwards, are
-exactly those of the same number of ``randint`` calls.  When a block holds
-more accepted outputs than the call still needs, it is cut right after the
-last one taken, found by position: a second table maps each low byte to 1 if
-it is kept, and ``compress`` over the positions reads the place of that
-output, so the rejected outputs that follow stay unread for the next draw.
+OOPSLA 2014), so ``SplitMix64`` mixes 512 outputs at once, as 128-bit lanes of
+one Python int masked back to 64 bits after every step so that nothing
+carries into the next lane; the loops over lanes are then the int type's C
+loops.  ``SplitMix64.randints`` returns exactly the values of the same number
+of ``randint`` calls and leaves the stream on the same next output.
 
 The ``_KINDS`` table at the end of the module is the single definition of a
 kind: its builder, its fewest nodes and whether it takes explicit weights.
@@ -60,7 +44,8 @@ _LOW_BYTES = slice(-16, None, -16) if sys.byteorder == "little" else slice(15, N
 
 @cache
 def _lane_constants():
-    """1 in each lane, gamma times each lane's steps, and the lane mask."""
+    """1 in each lane, gamma times each lane's steps, and the lane mask;
+    built on first use, not on import, since a search never generates."""
     ones = int.from_bytes(b"\x01".ljust(16, b"\0") * _BLOCK, "little")
     steps = b"".join(k.to_bytes(16, "little") for k in range(_BLOCK, 0, -1))
     return ones, _GAMMA * int.from_bytes(steps, "little"), _MASK64 * ones
@@ -137,8 +122,10 @@ class SplitMix64:
         """``[self.randint(lo, hi) for _ in range(count)]``, a block at a time.
 
         The stream is left on the same next output as those calls would
-        leave it.  Spans of 256 and more, and single draws, go through
-        ``randint``.
+        leave it.  For a span below 256 an output's low byte alone decides
+        its value and whether it is kept, so one ``bytes.translate`` masks,
+        offsets and rejects a block's low bytes in C.  Spans of 256 and
+        more, and single draws, go through ``randint``.
         """
         span = hi - lo + 1
         if count < 2 or span < 1 or span.bit_length() > 8:
@@ -244,77 +231,68 @@ def generate(spec: GeneratorSpec) -> dict:
     else:
         weights, next_weight = partial(rng.randints, lo, hi), partial(rng.randint, lo, hi)
     names = _node_names(spec.node_count)
-    build, _, _ = _KINDS[spec.kind]
-    return build(names, rng, weights, next_weight)
-
-
-def _chain(names, chain_weights):
     graph = {name: {} for name in names}
+    build, _, _ = _KINDS[spec.kind]
+    build(graph, names, rng, weights, next_weight)
+    return graph
+
+
+def _chain(graph, names, chain_weights):
     for a, b, w in zip(names, names[1:], chain_weights):
         graph[a][b] = w
-    return graph
 
 
-def _build_linear_chain(names, rng, weights, next_weight):
-    return _chain(names, weights(len(names) - 1))
+def _build_linear_chain(graph, names, rng, weights, next_weight):
+    _chain(graph, names, weights(len(names) - 1))
 
 
-def _build_cycle(names, rng, weights, next_weight):
-    # A chain back to the first node, whose graph key keeps its first place.
-    return _chain(names + names[:1], weights(len(names)))
+def _build_cycle(graph, names, rng, weights, next_weight):
+    # A chain back to the first node.
+    _chain(graph, names + names[:1], weights(len(names)))
 
 
-def _build_star(names, rng, weights, next_weight):
-    graph = {name: {} for name in names}
+def _build_star(graph, names, rng, weights, next_weight):
     graph[names[0]].update(zip(names[1:], weights(len(names) - 1)))
-    return graph
 
 
-def _build_sparse_tree(names, rng, weights, next_weight):
-    graph = {name: {} for name in names}
+def _build_sparse_tree(graph, names, rng, weights, next_weight):
     for i in range(1, len(names)):
         parent = names[rng.randint(0, i - 1)]
         graph[parent][names[i]] = next_weight()
-    return graph
 
 
-def _build_dense(names, rng, weights, next_weight):
+def _build_dense(graph, names, rng, weights, next_weight):
     # Complete digraph with symmetric weights.
-    graph = {name: {} for name in names}
     drawn = iter(weights(len(names) * (len(names) - 1) // 2))
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             w = next(drawn)
             graph[a][b] = w
             graph[b][a] = w
-    return graph
 
 
-def _build_disconnected(names, rng, weights, next_weight):
+def _build_disconnected(graph, names, rng, weights, next_weight):
     split = rng.randint(1, len(names) - 1)
     drawn = weights(len(names) - 2)
-    graph = _chain(names[:split], drawn[: split - 1])
-    graph.update(_chain(names[split:], drawn[split - 1 :]))
-    return graph
+    _chain(graph, names[:split], drawn[: split - 1])
+    _chain(graph, names[split:], drawn[split - 1 :])
 
 
-def _build_equal_weights(names, rng, weights, next_weight):
+def _build_equal_weights(graph, names, rng, weights, next_weight):
     # Random tree plus occasional extra forward edges, one shared weight.
     # Every forward pair that is not a tree edge, row by row, draws a flip of
     # randint(0, 3), and a 0 links it; the tree's n - 1 edges are all forward.
-    graph = _build_sparse_tree(names, rng, weights, next_weight)
+    _build_sparse_tree(graph, names, rng, weights, next_weight)
     links = map((0).__eq__, rng.randints(0, 3, (len(names) - 1) * (len(names) - 2) // 2))
     for i, a in enumerate(names):
         # compress reads one flip per free target, so each row reads its own.
         linked = list(compress(filterfalse(graph[a].__contains__, names[i + 1 :]), links))
         graph[a].update(zip(linked, weights(len(linked))))
-    return graph
 
 
-def _build_grid(names, rng, weights, next_weight):
+def _build_grid(graph, names, rng, weights, next_weight):
     # Four-neighbor lattice; each undirected edge gets one symmetric weight.
     side = math.isqrt(len(names))
-    graph = {name: {} for name in names}
     drawn = iter(weights(2 * side * (side - 1)))
     for r in range(side):
         for c in range(side):
@@ -329,21 +307,18 @@ def _build_grid(names, rng, weights, next_weight):
                 w = next(drawn)
                 graph[here][below] = w
                 graph[below][here] = w
-    return graph
 
 
-def _build_worst_case_tie(names, rng, weights, next_weight):
+def _build_worst_case_tie(graph, names, rng, weights, next_weight):
     # Every source->middle->sink path costs the same, stressing tie-breaking.
     w = next_weight()
     source, sink = names[0], names[-1]
-    graph = {name: {} for name in names}
     for middle in names[1:-1]:
         graph[source][middle] = w
         graph[middle][sink] = w
-    return graph
 
 
-def _build_real_world_like(names, rng, weights, next_weight):
+def _build_real_world_like(graph, names, rng, weights, next_weight):
     # Layered DAG rooted at the first node, like errands radiating from home.
     layers = [[names[0]]]
     rest = names[1:]
@@ -351,7 +326,6 @@ def _build_real_world_like(names, rng, weights, next_weight):
         size = rng.randint(1, min(3, len(rest)))
         layers.append(rest[:size])
         rest = rest[size:]
-    graph = {name: {} for name in names}
     for previous, layer in zip(layers, layers[1:]):
         for node in layer:
             parent = previous[rng.randint(0, len(previous) - 1)]
@@ -360,12 +334,13 @@ def _build_real_world_like(names, rng, weights, next_weight):
                 other = previous[rng.randint(0, len(previous) - 1)]
                 if node not in graph[other]:
                     graph[other][node] = next_weight()
-    return graph
 
 
 # The single definition of a kind: its builder, its fewest nodes, and the
 # length of an explicit weight list for node_count nodes, or None for kinds
-# whose edge order is not canonical.  KINDS keeps this order, and the
+# whose edge order is not canonical.  generate passes a builder a graph that
+# maps each name, in order, to an empty adjacency; the builder only adds the
+# kind's edges to it and returns nothing.  KINDS keeps this order, and the
 # benchmark seeds its graphs by a kind's index in it, so add kinds at the end.
 _KINDS = {
     "linear_chain": (_build_linear_chain, 2, lambda n: n - 1),

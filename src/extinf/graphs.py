@@ -6,35 +6,16 @@ key of the map; nodes without outgoing edges map to an empty object.
 
 The on-disk format is the JSON transliteration of that structure.  Emission is
 canonical (keys sorted, integral weights written as integers) so equal graphs
-always serialize to identical bytes.
+always serialize to identical bytes: ``emit_graph`` writes the bytes of
+``json.dumps(doc, sort_keys=True, indent=2)``, but through ``json``'s C
+encoder rather than its pure-Python indent encoder, encoding each distinct
+key and weight once.
 
-``parse_graph`` and ``validate`` check every edge weight, so both loops first
-try one inline test that accepts a plain ``int`` or ``float`` in range without
-a function call, ``int`` first because bundled and generated graphs hold int
-weights; it accepts only weights that ``_check_weight`` accepts, and
-every other weight goes to ``_check_weight``, which words the error.  Its int
-bound is ``weights._ROUNDS_TO_INF``, the smallest int that rounds to +inf.  The rule
-itself is ``_weight_problem``, which ``generators`` shares for explicit weights.
-
-A search never reads or writes JSON, so ``parse_graph`` and ``emit_graph``
-import ``json`` when called rather than with this module.
-
-``emit_graph`` writes the bytes of ``json.dumps(doc, sort_keys=True,
-indent=2)`` without ``json``'s pure-Python indent encoder.  Each call builds
-one compact encoder, a microsecond against the milliseconds of emission, and
-keeps two tables, so every distinct key and weight is encoded once however
-many edges share it, and each adjacency is joined from them by C loops; only a
-table miss runs Python.  The key table maps an id to its encoded text followed
-by ``": "``.  It starts with the node ids, encoded together in one call and
-split apart at the value and separator after each key, which is safe because
-an encoded key never holds a raw newline.  It holds only the ``str`` ids,
-since ``1``, ``1.0`` and ``True`` are one dict key but three JSON keys, and
-stores nothing more: in a valid graph every edge target is one of them, so a
-key only an invalid graph holds is encoded on every use.  The number table
-maps a weight to the JSON text of ``canonical_number``, and one entry serves
-every weight equal to its key: equal numbers have the same binary64 image,
-``0``, ``0.0``, ``-0.0`` and ``False`` all write ``0``, and a NaN, equal to no
-other weight, gets an entry of its own that writes ``NaN``.
+``_weight_problem`` is the one weight rule.  ``parse_graph`` and ``validate``
+accept a plain ``int`` or ``float`` in range inline, without a call (``int``
+first, since bundled and generated graphs hold int weights), and send every
+other weight to it; ``generators`` uses it for explicit weights.  A search
+never reads or writes JSON, so ``json`` loads on first use.
 """
 
 import itertools
@@ -153,7 +134,11 @@ def parse_graph(text: str) -> dict:
 
 
 class _KeyTexts(dict):
-    """Node id -> its encoded text and ": "; any other key is encoded anew."""
+    """Node id -> its encoded text and ": "; any other key is encoded anew.
+
+    Only ``str`` ids are stored, since ``1``, ``1.0`` and ``True`` are one
+    dict key but three JSON keys; in a valid graph every target is one.
+    """
 
     def __init__(self, encode, texts):
         super().__init__(texts)
@@ -164,7 +149,12 @@ class _KeyTexts(dict):
 
 
 class _NumberTexts(dict):
-    """Weight -> JSON text of its canonical number, shared by equal weights."""
+    """Weight -> JSON text of its canonical number, shared by equal weights.
+
+    Equal numbers have the same binary64 image, so one entry serves them all
+    (``0``, ``0.0``, ``-0.0`` and ``False`` write ``0``); a NaN equals no
+    other weight and gets an entry of its own.
+    """
 
     def __init__(self, encode):
         self.encode = encode

@@ -6,13 +6,10 @@ binary64 numbers either way, so the two domains are distinguishable only by
 how "unreached" is spelled, never by the distances they produce.
 
 Node selection is a linear scan over the unvisited set (no priority queue),
-the variant the benchmark harness measures.  Around that loop a search pays
-as little interpreter work as it can: the kernel builds its table and binds
-its scan key without a Python frame, and dijkstra converts the kernel's map
-to weights in place, in one frame for the whole map.  check_query is the
-one check of a query's graph and source, for dijkstra and the benchmark
-harness alike.  bellman_ford is an independently coded reference used to
-cross-check results.
+the variant the benchmark harness measures.  check_query is the one check of
+a query's graph and source, for dijkstra and the benchmark harness alike.
+bellman_ford is an independently coded reference used to cross-check
+results.
 """
 
 import math

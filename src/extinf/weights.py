@@ -4,34 +4,18 @@ The sentinel ``INFINITY`` compares greater than every finite cost and absorbs
 addition, which is everything a shortest-path search asks of its "unreached"
 marker.  Finite costs are ordinary binary64 values, so the sentinel differs
 from IEEE +inf only in representation, never in the answers a search computes.
-The ordering is written once, as IEEE arithmetic on binary64 images: ``compare``
-and every comparison operator compare the operands' ``to_binary64`` images,
-and ``add`` maps the images' sum back through ``from_binary64``, so a finite
-sum that overflows saturates to the sentinel.
+The ordering is written once, as IEEE arithmetic on binary64 images: every
+comparison compares the operands' ``to_binary64`` images, and ``add`` maps
+the images' sum back through ``from_binary64``, so a finite sum that
+overflows saturates to the sentinel.
 
-ExtendedWeight instances also interoperate with plain numbers in comparisons
-and ``+``, so the sentinel can sit in a distance table next to raw floats.
-A search loop compares ``INFINITY`` with a plain float or with itself tens of
-thousands of times per query, so the singleton's ``<``, ``<=``, ``>`` and
-``>=`` are not Python functions.  Each is a ``functools.partial`` that
-compares the operand with one of two thresholds, and the interpreter's
-rich-compare slot calls it without a Python frame: ``INFINITY < x`` is
-``-inf > x``, which is never true, and ``INFINITY > x`` is
-``2**1024 - 2**970 > x``, where that int is the smallest that rounds to +inf.
-Python compares ints and floats exactly, so the second is "the binary64 image
-of x is below +inf" for every int and float, NaN and huge ints included.
-The singleton's ``+``, ``==`` and ``hash`` are Python methods, as are all the
-operators of a finite weight, which take one general path: the IEEE
-comparison of the payload with the operand's binary64 image.  A finite weight
-compared with ``INFINITY`` gets the singleton's threshold as its operand,
-through the singleton's reflected method, and the threshold's image is
-``-inf`` or ``+inf``.
-
-The singleton's ordering operators pass an operand that is not an int or a
-float to that operand's reflected method, as ``float`` and ``int`` do: an
-ExtendedWeight, a ``Fraction`` or a ``Decimal`` answers by comparing itself
-with the threshold, and a non-number raises a ``TypeError`` that names
-``float`` or ``int``.
+ExtendedWeight instances also compare with and add to plain numbers, so the
+sentinel can sit in a distance table next to raw floats.  A search compares
+``INFINITY`` tens of thousands of times per query, so the singleton's ``<``,
+``<=``, ``>`` and ``>=`` run without a Python frame (see ``_Infinity``); an
+operand that is not an int or a float answers through its own reflected
+method, and a non-number raises the ``TypeError`` that ``float`` or ``int``
+gives.
 """
 
 import enum
@@ -166,9 +150,11 @@ class _Infinity(ExtendedWeight):
 
     Its payload is ``+inf``, so ``==``, ``hash`` and the module functions treat
     it like any weight.  ``<`` and ``>=`` compare the operand with ``-inf``,
-    ``<=`` and ``>`` with ``_ROUNDS_TO_INF``.  An ExtendedWeight operand makes
-    the float or int return NotImplemented and answers through its own
-    reflected method, so ``INFINITY < INFINITY`` runs ``-inf > -inf``.
+    ``<=`` and ``>`` with ``_ROUNDS_TO_INF``; Python compares ints and floats
+    exactly, so ``INFINITY > x`` is "x's binary64 image is below +inf" for
+    every int and float, NaN and huge ints included.  An ExtendedWeight
+    operand makes the float or int return NotImplemented and answers through
+    its own reflected method, so ``INFINITY < INFINITY`` runs ``-inf > -inf``.
     """
 
     __slots__ = ()

@@ -143,6 +143,13 @@ class TestRun:
         )
         assert code == 2
 
+    def test_iterations_must_be_positive(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--fixture", "Star_Graph_1", "--iterations", "0"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --iterations and --repetitions must be at least 1\n"
+
     def test_unknown_fixture_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--fixture", "Nope", "--iterations", "1")
         assert code == 1
@@ -234,6 +241,20 @@ class TestCompare:
         assert code == 0
         doc = json.loads(out)
         assert [row["graph_id"] for row in doc["rows"]] == ["Cycle_Graph_1", str(path)]
+
+    def test_repetitions_must_be_positive(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compare", "--fixtures", "all", "--repetitions", "0"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --iterations and --repetitions must be at least 1\n"
+
+    def test_empty_graph_file_is_runtime_error(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        code, out, err = run_cli(capsys, "compare", "--graph", str(path), "--iterations", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: graph {str(path)!r} has no nodes\n"
 
     def test_needs_some_graphs(self, capsys):
         code, _, err = run_cli(capsys, "compare", "--iterations", "1")
@@ -338,6 +359,14 @@ class TestTtest:
         code, out, _ = run_cli(capsys, "ttest", str(timing), str(other))
         assert code == 0
         assert json.loads(out)["n_a"] == 2
+
+    def test_alpha_bounds(self, capsys, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self._write_samples(a, [1.0, 2.0])
+        self._write_samples(b, [2.0, 4.0])
+        code, out, err = run_cli(capsys, "ttest", str(a), str(b), "--alpha", "1.5")
+        assert (code, out) == (2, "")
+        assert err == "error: --alpha must lie strictly between 0 and 1, got 1.5\n"
 
     def test_unreadable_samples(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -254,6 +254,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown generator kind"):
             GeneratorSpec(kind="blob", node_count=5)
 
+    def test_non_integer_node_count(self):
+        with pytest.raises(ValueError, match="^node_count must be an integer, got 4.0$"):
+            GeneratorSpec(kind="star", node_count=4.0)
+
     def test_below_minimum(self):
         with pytest.raises(ValueError, match="at least 3"):
             GeneratorSpec(kind="cycle", node_count=2)

@@ -211,6 +211,12 @@ class TestValidate:
     def test_non_string_node(self):
         assert validate({1: {}}) != []
 
+    def test_non_dict_graph(self):
+        assert validate([("A", {})]) == ["graph must be a dict, got list"]
+
+    def test_non_string_edge_target(self):
+        assert validate({"A": {1: 2}}) == ["edge target of node 'A' must be a string, got 1"]
+
 
 class _Level(enum.IntEnum):
     ONE = 1

@@ -81,12 +81,16 @@ class TestStudentTCdf:
             quadrature_t_cdf(50.0, 6.0), abs=1e-12
         )
 
+    def test_nan_t(self):
+        with pytest.raises(ValueError, match="^t must be a number$"):
+            student_t_cdf(math.nan, 3.0)
+
     def test_infinite_t(self):
         assert student_t_cdf(math.inf, 4.0) == 1.0
         assert student_t_cdf(-math.inf, 4.0) == 0.0
 
     def test_bad_df(self):
-        for df in (0, -1, math.nan):
+        for df in (0, -1, math.nan, math.inf):
             with pytest.raises(ValueError):
                 student_t_cdf(1.0, df)
 
@@ -117,6 +121,17 @@ class TestStudentTCdf:
             tail = 0.5 * special.betainc(df / 2, 0.5, x)
             expected = tail if t < 0 else 1 - tail
             assert student_t_cdf(t, df) == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("df", [4999.0, 5000.0, 1e4, 1e6, 1e9, 1e13, 1e16, 1e20, 1e300])
+    def test_large_df_against_scipy(self, df):
+        # The incomplete beta loses the smaller tail's digits as df grows
+        # (0.1 relative error at 1e13) and stops converging near 1e20.
+        for t in (0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 20.0, 37.0):
+            tail = special.stdtr(df, -t)
+            assert student_t_cdf(-t, df) == pytest.approx(tail, rel=1e-9, abs=0)
+            assert student_t_cdf(t, df) == pytest.approx(1 - tail, rel=0, abs=1e-9 * tail + 2**-53)
+        for t in (1e200, math.inf):
+            assert (student_t_cdf(-t, df), student_t_cdf(t, df)) == (0.0, 1.0)
 
     @pytest.mark.parametrize(
         "t, df, expected",
@@ -226,6 +241,16 @@ class TestWelch:
         assert scaled.t == pytest.approx(base.t, abs=1e-12, rel=1e-9)
         assert scaled.df == pytest.approx(base.df, rel=1e-9)
         assert scaled.p_one_tailed == pytest.approx(base.p_one_tailed, abs=1e-12, rel=1e-9)
+
+    def test_tiny_scale(self):
+        # Variances near 1e-290 are normal floats, but their squares underflow.
+        a = [0.0, 0.0, 0.0, 0.0, 0.0, 879719.0, 0.5, 0.5, 0.5]
+        b = [0.0, 0.0, 0.0, 0.0, 879719.0, 0.5, 0.5, 0.5, 0.5]
+        base = welch_test(a, b)
+        scaled = welch_test([1e-150 * v for v in a], [1e-150 * v for v in b])
+        assert scaled.t == pytest.approx(base.t, rel=1e-9)
+        assert scaled.df == pytest.approx(base.df, rel=1e-9)
+        assert scaled.p_one_tailed == pytest.approx(base.p_one_tailed, rel=1e-9)
 
 
 class TestReport:

@@ -54,6 +54,19 @@ class TestCompare:
         with pytest.raises(TypeError):
             compare(INFINITY, 3.0)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: add(finite(1), 2.0), "add expects two ExtendedWeight values"),
+            (lambda: to_binary64(2.0), "to_binary64 expects an ExtendedWeight"),
+            (lambda: format_weight("inf"), "format_weight expects an ExtendedWeight"),
+        ],
+        ids=["add", "to_binary64", "format_weight"],
+    )
+    def test_module_functions_reject_non_weights(self, call, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            call()
+
     @given(finite_payloads)
     def test_dominance(self, x):
         assert compare(INFINITY, finite(x)) is Ordering.GREATER

@@ -30,13 +30,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from extinf import generators  # noqa: E402
 from extinf.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
-from extinf.shortest_path import (  # noqa: E402
-    IEEE_BASELINE,
-    SENTINEL,
-    WeightDomain,
-    bellman_ford,
-    dijkstra,
-)
+from extinf.shortest_path import DOMAINS, WeightDomain, bellman_ford, dijkstra  # noqa: E402
 from extinf.weights import INFINITY, ExtendedWeight, finite  # noqa: E402
 
 GRAPHS_PER_KIND = 20
@@ -56,7 +50,7 @@ def search_problems(graph_id, graph, sources):
     problems = []
     for source in sources:
         oracle = bellman_ford(graph, source)
-        for domain in (IEEE_BASELINE, SENTINEL):
+        for domain in DOMAINS.values():
             result = dijkstra(graph, source, domain)
             if result != oracle or any(
                 w is not INFINITY and type(w) is not ExtendedWeight for w in result.values()

@@ -33,7 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from extinf.shortest_path import linear_scan_distances  # noqa: E402
+from extinf.shortest_path import DOMAINS, linear_scan_distances  # noqa: E402
 from extinf.weights import INFINITY  # noqa: E402
 from workloads import GENERATED, build_inputs  # noqa: E402
 
@@ -66,12 +66,13 @@ def operator_costs(repeat=15, number=200_000):
 
 def kernel_ratios(queries):
     """Per kind: round ratios' quartiles and fastest per-query ms per arm."""
+    arms = tuple(DOMAINS.values())
+    baseline, candidate = arms
     report = {}
     for kind, _nodes in GENERATED["sparse_scan"]:
         graphs = [(g, s) for graph_id, g, s in queries if graph_id.startswith(kind + "_")]
-        ratios, best = [], {"ieee": math.inf, "sentinel": math.inf}
+        ratios, best = [], dict.fromkeys(DOMAINS, math.inf)
         for r in range(ROUNDS):
-            arms = (("ieee", math.inf), ("sentinel", INFINITY))
             total = {}
             for name, infinity in arms if r % 2 else arms[::-1]:
                 start = time.perf_counter()
@@ -79,14 +80,13 @@ def kernel_ratios(queries):
                     linear_scan_distances(graph, source, infinity)
                 total[name] = time.perf_counter() - start
                 best[name] = min(best[name], total[name] / len(graphs) * 1e3)
-            ratios.append(total["sentinel"] / total["ieee"])
+            ratios.append(total[candidate.name] / total[baseline.name])
         q1, median, q3 = statistics.quantiles(ratios, n=4)
         report[kind] = {
             "ratio_p25": round(q1, 3),
             "ratio_median": round(median, 3),
             "ratio_p75": round(q3, 3),
-            "ieee_ms": round(best["ieee"], 3),
-            "sentinel_ms": round(best["sentinel"], 3),
+            **{f"{name}_ms": round(ms, 3) for name, ms in best.items()},
         }
     return report
 
@@ -105,11 +105,13 @@ def main():
             f"{label:22} {ns['sentinel']:7.1f} ns  "
             f"(float {ns['ieee']:.1f}, extra {ns['extra']:.1f})"
         )
+    baseline, candidate = DOMAINS
     for kind, row in report["kernel"].items():
         print(
-            f"{kind:16} sentinel/ieee {row['ratio_median']:.3f} "
+            f"{kind:16} {candidate}/{baseline} {row['ratio_median']:.3f} "
             f"[{row['ratio_p25']:.3f}, {row['ratio_p75']:.3f}]  "
-            f"ieee {row['ieee_ms']:.2f} ms  sentinel {row['sentinel_ms']:.2f} ms"
+            f"{baseline} {row[baseline + '_ms']:.2f} ms  "
+            f"{candidate} {row[candidate + '_ms']:.2f} ms"
         )
     print(json.dumps(report))
     return 0
