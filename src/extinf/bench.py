@@ -32,7 +32,7 @@ from .shortest_path import (
     get_domain,
     linear_scan_distances,
 )
-from .stats import WelchReport, mean, welch_test
+from .stats import WelchReport, _require_alpha, mean, welch_test
 
 __all__ = [
     "COMPARISON_CSV_COLUMNS",
@@ -168,6 +168,7 @@ def run_comparison(entries, iterations: int = 50_000, repetitions: int = 2, alph
         raise ValueError("run_comparison needs at least one graph")
     _require_positive_int("iterations", iterations)
     _require_positive_int("repetitions", repetitions)
+    _require_alpha(alpha)
     if len(entries) * repetitions < 2:
         raise ValueError("need at least two samples per arm overall")
     for graph_id, graph, source in entries:

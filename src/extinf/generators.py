@@ -23,7 +23,7 @@ and orders the bundled fixture categories, which come in pairs.
 import math
 import sys
 from collections import namedtuple
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import compress, filterfalse, islice
 
 from .graphs import _weight_problem
@@ -107,8 +107,13 @@ class SplitMix64:
             raise ValueError(f"empty range: randint({lo}, {hi})")
         mask = (1 << span.bit_length()) - 1
         if span <= 1 << 64:
+            # Pops the unread block as next_u64 does, without a call per draw.
+            block = self._block
             while True:
-                v = self.next_u64() & mask
+                if not block:
+                    self._hold(self._mix_block())
+                    block = self._block
+                v = block.pop() & mask
                 if v < span:
                     return lo + v
         # A wider span joins as many whole outputs as its largest offset needs.
@@ -212,9 +217,12 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind node_count weight_range se
         return cls(*iterable)
 
 
+@lru_cache(maxsize=8)
 def _node_names(count):
+    """The ids of a count-node graph, built once per count, since graphs
+    tend to be generated many to a size; builders only index and slice them."""
     width = len(str(count - 1))
-    return ["n" + digits.zfill(width) for digits in map(str, range(count))]
+    return tuple(["n" + digits.zfill(width) for digits in map(str, range(count))])
 
 
 def generate(spec: GeneratorSpec) -> dict:
@@ -320,18 +328,20 @@ def _build_worst_case_tie(graph, names, rng, weights, next_weight):
 
 def _build_real_world_like(graph, names, rng, weights, next_weight):
     # Layered DAG rooted at the first node, like errands radiating from home.
-    layers = [[names[0]]]
-    rest = names[1:]
-    while rest:
-        size = rng.randint(1, min(3, len(rest)))
-        layers.append(rest[:size])
-        rest = rest[size:]
+    randint = rng.randint
+    layers = [names[:1]]
+    start = 1
+    while start < len(names):
+        end = start + randint(1, min(3, len(names) - start))
+        layers.append(names[start:end])
+        start = end
     for previous, layer in zip(layers, layers[1:]):
+        last = len(previous) - 1
         for node in layer:
-            parent = previous[rng.randint(0, len(previous) - 1)]
+            parent = previous[randint(0, last)]
             graph[parent][node] = next_weight()
-            if len(previous) > 1 and rng.randint(0, 2) == 0:
-                other = previous[rng.randint(0, len(previous) - 1)]
+            if last and randint(0, 2) == 0:
+                other = previous[randint(0, last)]
                 if node not in graph[other]:
                     graph[other][node] = next_weight()
 
@@ -339,8 +349,9 @@ def _build_real_world_like(graph, names, rng, weights, next_weight):
 # The single definition of a kind: its builder, its fewest nodes, and the
 # length of an explicit weight list for node_count nodes, or None for kinds
 # whose edge order is not canonical.  generate passes a builder a graph that
-# maps each name, in order, to an empty adjacency; the builder only adds the
-# kind's edges to it and returns nothing.  KINDS keeps this order, and the
+# maps each name, in order, to an empty adjacency, and the names as a tuple
+# shared by every graph of that size; the builder only adds the kind's edges
+# to the graph and returns nothing.  KINDS keeps this order, and the
 # benchmark seeds its graphs by a kind's index in it, so add kinds at the end.
 _KINDS = {
     "linear_chain": (_build_linear_chain, 2, lambda n: n - 1),

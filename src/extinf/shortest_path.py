@@ -46,19 +46,22 @@ class WeightDomain(namedtuple("WeightDomain", "name infinity")):
     arithmetic, the sentinel through its own operator overloads, which agree
     with IEEE arithmetic on binary64 images.
 
-    The infinity must have the binary64 image +inf (``infinity == INFINITY``),
-    or the constructor raises ValueError naming the domain: a finite stand-in
-    would be overtaken by real distances and read as a cost.  With that image,
-    every finite candidate beats it and no infinite one does, so a node the
-    search never reaches still holds this very object when the search ends,
-    which is how ``dijkstra`` tells it apart.  _make (and _replace, which calls
-    it) builds through the constructor, so neither skips the check.
+    The infinity must have the binary64 image +inf, equal to ``INFINITY`` or
+    to ``math.inf``, or the constructor raises ValueError naming the domain:
+    a finite stand-in would be overtaken by real distances and read as a
+    cost.  Both tests are needed, since ``10**400`` equals only ``INFINITY``
+    and an object whose comparisons answer only floats, as a C type's may,
+    equals only ``math.inf``.  With that image, every finite candidate beats
+    it and no infinite one does, so a node the search never reaches still
+    holds this very object when the search ends, which is how ``dijkstra``
+    tells it apart.  _make (and _replace, which calls it) builds through the
+    constructor, so neither skips the check.
     """
 
     __slots__ = ()
 
     def __new__(cls, name, infinity):
-        if not infinity == INFINITY:
+        if not (infinity == INFINITY or infinity == math.inf):
             raise ValueError(
                 f"weight domain {name!r}: infinity must have the binary64 image +inf, "
                 f"got {infinity!r}"

@@ -83,12 +83,21 @@ def mean(samples) -> float:
 
 
 def variance(samples) -> float:
-    """Unbiased sample variance (divisor n-1); needs at least two samples."""
+    """Unbiased sample variance (divisor n-1); needs at least two samples.
+
+    Raises ValueError when the squared deviations pass the largest binary64.
+    """
     values = _values(samples)
     if len(values) < 2:
         raise ValueError("variance needs at least two samples")
     m = mean(values)
-    return math.fsum((v - m) ** 2 for v in values) / (len(values) - 1)
+    try:
+        squares = math.fsum((v - m) ** 2 for v in values)
+    except OverflowError:  # a square, or their sum, past the largest binary64
+        squares = math.inf
+    if squares == math.inf:  # also a deviation that itself rounded to inf
+        raise ValueError("the samples are too large for a binary64 variance")
+    return squares / (len(values) - 1)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -200,6 +209,13 @@ class WelchReport(
         return f"{decision} at alpha={self.alpha:g} (p={self.p_one_tailed:.6g})"
 
 
+def _require_alpha(alpha) -> None:
+    """Raise ValueError unless 0 < alpha < 1; run_comparison checks it too,
+    before it times anything."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+
+
 def welch_test(a, b, alpha: float = 0.01) -> WelchReport:
     """One-tailed Welch's t-test of "mean of A is below mean of B".
 
@@ -207,8 +223,7 @@ def welch_test(a, b, alpha: float = 0.01) -> WelchReport:
     two zero-variance sides raise DegenerateSamplesError rather than
     pretending certainty.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    _require_alpha(alpha)
     values_a = _values(a)
     values_b = _values(b)
     if len(values_a) < 2 or len(values_b) < 2:

@@ -4,6 +4,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 
 import pytest
@@ -224,6 +225,21 @@ class TestRunComparison:
                 run_comparison([entry, entry], iterations=1, repetitions=repetitions)
         with pytest.raises(ValueError, match="two samples per arm"):
             run_comparison([entry], iterations=1, repetitions=1)
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, math.nan])
+    def test_bad_alpha_fails_before_any_timing(self, monkeypatch, alpha):
+        calls, real = [], bench._time_block
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["graph_id"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "_time_block", spy)
+        entry = ("g", fixture("Linear_Chain_1"), "A")
+        message = f"^alpha must lie strictly between 0 and 1, got {alpha!r}$"
+        with pytest.raises(ValueError, match=message):
+            run_comparison([entry], iterations=1, repetitions=2, alpha=alpha)
+        assert calls == []
 
     @pytest.mark.parametrize("iterations", [0, True, 1.5])
     def test_bad_iterations_fail_before_any_check(self, monkeypatch, iterations):

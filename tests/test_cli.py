@@ -396,6 +396,14 @@ class TestTtest:
         assert code == 1
         assert f"{bad}, line 4: not a finite number: {cell!r}" in err
 
+    def test_variance_past_binary64_names_both_files(self, capsys, tmp_path):
+        a, b = tmp_path / "big_a.csv", tmp_path / "big_b.csv"
+        self._write_samples(a, [0, 8.8e155, 0.5])
+        self._write_samples(b, [0, 1e155, 0.7])
+        code, out, err = run_cli(capsys, "ttest", str(a), str(b))
+        assert (code, out) == (1, "")
+        assert err == f"error: {a} vs {b}: the samples are too large for a binary64 variance\n"
+
     @pytest.mark.parametrize(
         "content, message",
         [

@@ -1,7 +1,12 @@
 """Seeded generators: determinism, validation, and category structure."""
 
+import json
 import os
+import re
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +20,8 @@ from helpers import CATEGORY_PREDICATES
 # The pinned digests are computed by the stdlib-only timing tool, so that an
 # interpreter without pytest can print them too.
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.join(os.path.dirname(HERE), "tools"))
+TOOLS = os.path.join(os.path.dirname(HERE), "tools")
+sys.path.insert(0, TOOLS)
 
 import generate_timings  # noqa: E402
 
@@ -182,20 +188,85 @@ def test_fixture_categories_are_the_generator_kinds():
     assert CATEGORIES == KINDS
 
 
+# Every kind at small sizes and 100 nodes, four seeds, two weight ranges, and
+# the explicit-weight kinds.
+GOLDEN_DIGEST = "c3c7ff7f06d032bb4deba166cdb4cb3016bbecc89d149fdf6cbeff490db2d8f9"
+# The graph kinds and sizes of the benchmark's generated workloads, and the
+# largest grid; the digest was taken before generation drew in blocks.
+BENCHMARK_SIZED_DIGEST = "9d717b1a8e408f0136c78495d85294da1903405d91394a087d08c565927bad12"
+
+
 def test_generated_bytes_are_pinned():
-    # Every kind at small sizes and 100 nodes, four seeds, two weight ranges,
-    # and the explicit-weight kinds.
-    assert generate_timings.golden_digest() == (
-        "c3c7ff7f06d032bb4deba166cdb4cb3016bbecc89d149fdf6cbeff490db2d8f9"
-    )
+    assert generate_timings.golden_digest() == GOLDEN_DIGEST
 
 
 def test_benchmark_sized_bytes_are_pinned():
-    # The graph kinds and sizes of the benchmark's generated workloads, and
-    # the largest grid; the digest was taken before generation drew in blocks.
-    assert generate_timings.benchmark_sized_digest() == (
-        "9d717b1a8e408f0136c78495d85294da1903405d91394a087d08c565927bad12"
-    )
+    assert generate_timings.benchmark_sized_digest() == BENCHMARK_SIZED_DIGEST
+
+
+def _other_interpreters():
+    """One interpreter per CPython minor version from 3.10 on, other than the
+    running one's: the newest final release in pyenv's versions directory,
+    else ``python3.N`` on PATH, kept only if it starts and reports that
+    version of CPython."""
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    newest = {}
+    for python in versions.glob("3.*/bin/python3"):
+        release = re.fullmatch(r"3\.(\d+)\.(\d+)", python.parent.parent.name)
+        if release:
+            minor, patch = map(int, release.groups())
+            newest[minor] = max(newest.get(minor, (-1, None)), (patch, str(python)))
+    found = {}
+    for minor in range(10, 20):
+        if minor == sys.version_info.minor:
+            continue
+        python = newest[minor][1] if minor in newest else shutil.which(f"python3.{minor}")
+        if python is None:
+            continue
+        probe = "import sys; print(sys.implementation.name, *sys.version_info[:2])"
+        try:
+            result = subprocess.run(
+                [python, "-I", "-c", probe], capture_output=True, text=True, timeout=60
+            )
+        except OSError:
+            continue
+        if result.returncode == 0 and result.stdout.split() == ["cpython", "3", str(minor)]:
+            found[f"3.{minor}"] = python
+    return found
+
+
+# Runs tools/cross_check.py's checks, then prints both digests; exits with
+# cross_check's status.
+_CROSS_INTERPRETER_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import cross_check, generate_timings
+status = cross_check.main()
+print(json.dumps([generate_timings.golden_digest(), generate_timings.benchmark_sized_digest()]))
+sys.exit(status)
+"""
+
+
+def test_other_interpreters_pass_cross_check_and_generate_the_pinned_bytes():
+    # The generators' byte identity and the search's results must not depend
+    # on the interpreter; those interpreters need no pytest for this.
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 starts here, in pyenv or as python3.N on PATH")
+    outcomes, expected = {}, {}
+    for version, python in interpreters.items():
+        result = subprocess.run(
+            [python, "-I", "-c", _CROSS_INTERPRETER_PROBE, TOOLS],
+            capture_output=True, text=True, timeout=600,
+        )
+        lines = result.stdout.splitlines()
+        try:
+            summary, digests = json.loads(lines[-2])["problems"], json.loads(lines[-1])
+        except (IndexError, ValueError, KeyError, TypeError):
+            summary, digests = result.stdout + result.stderr, None
+        outcomes[version] = (result.returncode, summary, digests)
+        expected[version] = (0, 0, [GOLDEN_DIGEST, BENCHMARK_SIZED_DIGEST])
+    assert outcomes == expected
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -3,6 +3,7 @@
 import collections
 import copy
 import math
+import operator
 import pickle
 
 import pytest
@@ -126,6 +127,37 @@ class TestOracleEquivalence:
         assert distances[source] == finite(0)
 
 
+class _FloatOnlyInfinity:
+    """+inf shaped like a C type's rich comparison: it answers a float or
+    itself and returns NotImplemented for anything else, INFINITY included,
+    so ``== INFINITY`` falls back to identity.  ``+`` absorbs any number."""
+
+    __slots__ = ()
+
+    def _compare(op):
+        def method(self, other):
+            if other is self:
+                return op(math.inf, math.inf)
+            if type(other) is float:
+                return op(math.inf, other)
+            return NotImplemented
+
+        return method
+
+    __eq__, __ne__ = _compare(operator.eq), _compare(operator.ne)
+    __lt__, __le__ = _compare(operator.lt), _compare(operator.le)
+    __gt__, __ge__ = _compare(operator.gt), _compare(operator.ge)
+    del _compare
+
+    def __hash__(self):
+        return hash(math.inf)
+
+    def __add__(self, other):
+        return self if type(other) in (int, float) else NotImplemented
+
+    __radd__ = __add__
+
+
 class TestDomains:
     def test_registry(self):
         assert set(DOMAINS) == {"ieee_baseline", "sentinel"}
@@ -175,6 +207,19 @@ class TestDomains:
                 result = dijkstra(graph, "A", domain)
                 assert result == bellman_ford(graph, "A")
                 assert all(result[node] is INFINITY for node in unreached)
+
+    def test_infinity_that_answers_only_floats_registers(self):
+        # Neither side of == INFINITY answers the other, so the guard also
+        # asks == math.inf; the search then runs with this infinity as with
+        # any other.
+        infinity = _FloatOnlyInfinity()
+        assert not infinity == INFINITY and infinity == math.inf
+        domain = WeightDomain("float_only", infinity)
+        assert domain.infinity is infinity
+        graph = fixture("Disconnected_Graph_1")
+        result = dijkstra(graph, "A", domain)
+        assert result == bellman_ford(graph, "A")
+        assert result["X"] is INFINITY and result["Y"] is INFINITY
 
     @pytest.mark.parametrize(
         "infinity",

@@ -49,6 +49,18 @@ class TestDescriptive:
         with pytest.raises(ValueError, match="at least two"):
             variance([1.0])
 
+    @pytest.mark.parametrize(
+        "samples",
+        [[0, 8.8e155, 0.5], [1.7e308, -1.7e308], [1.7e308, -1.7e308, -1.7e308]],
+        ids=["square", "square-past-max", "deviation-past-max"],
+    )
+    def test_variance_past_binary64_range_says_so(self, samples):
+        # A square past the largest binary64 raises OverflowError in ** 2; a
+        # deviation past it rounds to inf and squares to inf without one.
+        message = "^the samples are too large for a binary64 variance$"
+        with pytest.raises(ValueError, match=message):
+            variance(samples)
+
     def test_mean_needs_one(self):
         with pytest.raises(ValueError):
             mean([])

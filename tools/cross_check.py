@@ -12,8 +12,8 @@ It puts this checkout's ``src/`` on the import path and checks:
    unreached node mapped to ``INFINITY`` itself and every reached one to a
    plain ``ExtendedWeight``.
 2. ``finite`` rejects each out-of-domain value with its exact message.
-3. ``WeightDomain`` accepts the infinities whose binary64 image is +inf and
-   rejects the others.
+3. ``WeightDomain`` accepts the infinities whose binary64 image is +inf,
+   one whose ``==`` answers only floats among them, and rejects the others.
 
 ``tests/`` checks the same things under pytest.  The last line of output is
 a JSON summary; the exit status is 0 only when every check passed.
@@ -72,6 +72,16 @@ def message_problems():
     return problems
 
 
+class FloatOnlyInfinity:
+    """+inf whose ``==`` answers only a float, as a C type's rich comparison
+    may: ``== INFINITY`` is answered by neither side and falls back to identity."""
+
+    def __eq__(self, other):
+        return other == math.inf if type(other) is float else NotImplemented
+
+    __hash__ = object.__hash__
+
+
 def domain_problems():
     problems = []
     for infinity, accepted in (
@@ -79,6 +89,7 @@ def domain_problems():
         (float("inf"), True),
         (10**400, True),
         (INFINITY, True),
+        (FloatOnlyInfinity(), True),
         (1e9, False),
         (-math.inf, False),
         (math.nan, False),
