@@ -160,6 +160,8 @@ class _NumberTexts(dict):
         self.encode = encode
 
     def __missing__(self, weight):
+        if not isinstance(weight, (int, float)):
+            raise TypeError(f"weight must be a number, got {weight!r}")
         text = self[weight] = self.encode(canonical_number(weight))
         return text
 

@@ -76,28 +76,47 @@ def _values(samples) -> tuple:
     return SampleSet(tuple(samples)).values
 
 
+def _power_mean(values, power: int, divisor: int) -> float:
+    """fsum(v ** power for v in values) / divisor.
+
+    When a term or a partial sum passes the largest binary64, the values are
+    summed at 2**-e, the least power of two that keeps that sum in range, and
+    the quotient is scaled back; that is exact but for values near the
+    subnormal range, far below the sum's last bit.  A sum in range keeps its
+    bits.  Raises OverflowError when the quotient itself is out of range.
+    """
+    try:
+        return math.fsum([v**power for v in values]) / divisor
+    except OverflowError:
+        pass
+    _, top = math.frexp(max(map(abs, values)))
+    e = top - (1023 - len(values).bit_length()) // power
+    total = math.fsum([math.ldexp(v, -e) ** power for v in values])
+    return math.ldexp(total / divisor, e * power)
+
+
 def mean(samples) -> float:
     """Arithmetic mean."""
     values = _values(samples)
-    return math.fsum(values) / len(values)
+    return _power_mean(values, 1, len(values))
 
 
 def variance(samples) -> float:
     """Unbiased sample variance (divisor n-1); needs at least two samples.
 
-    Raises ValueError when the squared deviations pass the largest binary64.
+    Raises ValueError when the variance passes the largest binary64.
     """
     values = _values(samples)
     if len(values) < 2:
         raise ValueError("variance needs at least two samples")
     m = mean(values)
     try:
-        squares = math.fsum((v - m) ** 2 for v in values)
-    except OverflowError:  # a square, or their sum, past the largest binary64
-        squares = math.inf
-    if squares == math.inf:  # also a deviation that itself rounded to inf
+        var = _power_mean([v - m for v in values], 2, len(values) - 1)
+    except OverflowError:
+        var = math.inf
+    if var == math.inf:  # also a deviation that itself rounded to inf
         raise ValueError("the samples are too large for a binary64 variance")
-    return squares / (len(values) - 1)
+    return var
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:

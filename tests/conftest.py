@@ -1,8 +1,14 @@
 import string
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from extinf.weights import INFINITY, finite
+
+# tools/cross_check.py, the stdlib-only gate for every CPython, holds the pins
+# that tests read.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 finite_payloads = st.floats(
     min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False

@@ -410,7 +410,7 @@ class TestTtest:
             (b'"' + b"x" * 140_000 + b'"\n', "field larger than field limit"),
             (b"1.0\n\xff\n", "codec can't decode byte 0xff"),
             (b"1.0\n", "needs at least two samples"),
-            (b"1e308\n1e308\n", "overflow"),
+            (b"1e308\n1e308\n-1e308\n", "too large for a binary64 variance"),
         ],
         ids=["long-field", "not-utf8", "one-sample", "overflowing-sum"],
     )

@@ -12,18 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cross_check
 from extinf.fixtures import CATEGORIES, fixture
 from extinf.generators import _BLOCK, KINDS, GeneratorSpec, SplitMix64, generate
 from extinf.graphs import emit_graph, validate
 from helpers import CATEGORY_PREDICATES
-
-# The pinned digests are computed by the stdlib-only timing tool, so that an
-# interpreter without pytest can print them too.
-HERE = os.path.dirname(os.path.abspath(__file__))
-TOOLS = os.path.join(os.path.dirname(HERE), "tools")
-sys.path.insert(0, TOOLS)
-
-import generate_timings  # noqa: E402
 
 # Node counts that satisfy every kind's minimum (grid needs perfect squares).
 SIZES = {"grid": (4, 9, 16, 25), "worst_case_tie": (4, 6, 9, 13)}
@@ -188,27 +181,27 @@ def test_fixture_categories_are_the_generator_kinds():
     assert CATEGORIES == KINDS
 
 
-# Every kind at small sizes and 100 nodes, four seeds, two weight ranges, and
-# the explicit-weight kinds.
-GOLDEN_DIGEST = "c3c7ff7f06d032bb4deba166cdb4cb3016bbecc89d149fdf6cbeff490db2d8f9"
-# The graph kinds and sizes of the benchmark's generated workloads, and the
-# largest grid; the digest was taken before generation drew in blocks.
-BENCHMARK_SIZED_DIGEST = "9d717b1a8e408f0136c78495d85294da1903405d91394a087d08c565927bad12"
-
-
 def test_generated_bytes_are_pinned():
-    assert generate_timings.golden_digest() == GOLDEN_DIGEST
+    assert cross_check.golden_digest() == cross_check.GOLDEN_DIGEST
 
 
 def test_benchmark_sized_bytes_are_pinned():
-    assert generate_timings.benchmark_sized_digest() == BENCHMARK_SIZED_DIGEST
+    assert cross_check.benchmark_sized_digest() == cross_check.BENCHMARK_SIZED_DIGEST
 
 
-def _other_interpreters():
-    """One interpreter per CPython minor version from 3.10 on, other than the
-    running one's: the newest final release in pyenv's versions directory,
-    else ``python3.N`` on PATH, kept only if it starts and reports that
-    version of CPython."""
+def test_cross_check_fails_on_other_bytes(monkeypatch, capsys):
+    monkeypatch.setattr(cross_check, "GOLDEN_DIGEST", "0" * 64)
+    assert cross_check.main() == 1
+    *problems, summary = capsys.readouterr().out.splitlines()
+    assert len(problems) == 1 and problems[0].endswith(f"GOLDEN_DIGEST pins {'0' * 64}")
+    assert json.loads(summary)["problems"] == 1
+
+
+def _interpreters():
+    """One interpreter per CPython minor version from 3.10 on: the running one
+    for its own version, else the newest final release in pyenv's versions
+    directory, else ``python3.N`` on PATH, kept only if it starts and reports
+    that version of CPython."""
     versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
     newest = {}
     for python in versions.glob("3.*/bin/python3"):
@@ -216,9 +209,9 @@ def _other_interpreters():
         if release:
             minor, patch = map(int, release.groups())
             newest[minor] = max(newest.get(minor, (-1, None)), (patch, str(python)))
-    found = {}
+    found = {f"3.{sys.version_info.minor}": sys.executable}
     for minor in range(10, 20):
-        if minor == sys.version_info.minor:
+        if f"3.{minor}" in found:
             continue
         python = newest[minor][1] if minor in newest else shutil.which(f"python3.{minor}")
         if python is None:
@@ -235,38 +228,17 @@ def _other_interpreters():
     return found
 
 
-# Runs tools/cross_check.py's checks, then prints both digests; exits with
-# cross_check's status.
-_CROSS_INTERPRETER_PROBE = """
-import json, sys
-sys.path.insert(0, sys.argv[1])
-import cross_check, generate_timings
-status = cross_check.main()
-print(json.dumps([generate_timings.golden_digest(), generate_timings.benchmark_sized_digest()]))
-sys.exit(status)
-"""
-
-
-def test_other_interpreters_pass_cross_check_and_generate_the_pinned_bytes():
-    # The generators' byte identity and the search's results must not depend
-    # on the interpreter; those interpreters need no pytest for this.
-    interpreters = _other_interpreters()
-    if not interpreters:
-        pytest.skip("no other CPython >= 3.10 starts here, in pyenv or as python3.N on PATH")
-    outcomes, expected = {}, {}
-    for version, python in interpreters.items():
+def test_every_interpreter_passes_cross_check():
+    # The search's results, the weight messages and the generated bytes must
+    # not depend on the interpreter; the gate needs no pytest.
+    failed = {}
+    for version, python in _interpreters().items():
         result = subprocess.run(
-            [python, "-I", "-c", _CROSS_INTERPRETER_PROBE, TOOLS],
-            capture_output=True, text=True, timeout=600,
+            [python, "-I", cross_check.__file__], capture_output=True, text=True, timeout=600
         )
-        lines = result.stdout.splitlines()
-        try:
-            summary, digests = json.loads(lines[-2])["problems"], json.loads(lines[-1])
-        except (IndexError, ValueError, KeyError, TypeError):
-            summary, digests = result.stdout + result.stderr, None
-        outcomes[version] = (result.returncode, summary, digests)
-        expected[version] = (0, 0, [GOLDEN_DIGEST, BENCHMARK_SIZED_DIGEST])
-    assert outcomes == expected
+        if result.returncode != 0:
+            failed[version] = result.stdout + result.stderr
+    assert failed == {}
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -3,8 +3,10 @@
 import enum
 import json
 import math
+import re
 import sys
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -92,6 +94,11 @@ class TestEmit:
     def test_non_number_weight_raises_type_error(self):
         with pytest.raises(TypeError):
             emit_graph({"A": {"B": [1]}})
+
+    @pytest.mark.parametrize("weight", ["2", Fraction(1, 3)], ids=["str", "Fraction"])
+    def test_weight_that_json_would_rewrite_raises_type_error(self, weight):
+        with pytest.raises(TypeError, match=re.escape(f"got {weight!r}")):
+            emit_graph({"A": {"B": weight}, "B": {}})
 
     def test_non_dict_adjacency_raises(self):
         with pytest.raises(AttributeError):

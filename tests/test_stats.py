@@ -61,6 +61,20 @@ class TestDescriptive:
         with pytest.raises(ValueError, match=message):
             variance(samples)
 
+    def test_variance_with_squares_past_binary64_range(self):
+        # Each squared deviation is 1.21e308, and their sum passes the largest
+        # binary64; the variance does not.
+        assert variance([1.1e154, -1.1e154, 0]) == pytest.approx(1.21e308, rel=1e-15)
+
+    def test_mean_with_a_sum_past_binary64_range(self):
+        assert mean([1e308, 1e308, -1e308]) == 1e308 / 3
+
+    @given(samples_lists)
+    def test_mean_scales_by_powers_of_two(self, samples):
+        # 2**1003 takes most sums of these samples past the largest binary64.
+        scaled = [math.ldexp(v, 1003) for v in samples]
+        assert mean(scaled) == math.ldexp(mean(samples), 1003)
+
     def test_mean_needs_one(self):
         with pytest.raises(ValueError):
             mean([])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cross_check
 from conftest import extended_weights, finite_payloads
 from extinf.weights import (
     INFINITY,
@@ -163,15 +164,7 @@ class TestBinary64:
 class TestConstruction:
     @pytest.mark.parametrize(
         "bad, message",
-        [
-            pytest.param(-1, "weight cannot be negative: -1.0", id="-1"),
-            pytest.param(-0.5, "weight cannot be negative: -0.5", id="-0.5"),
-            pytest.param(math.nan, "weight cannot be NaN", id="nan"),
-            pytest.param(math.inf, "use INFINITY for an infinite weight", id="inf"),
-            pytest.param(-math.inf, "weight cannot be negative: -inf", id="-inf"),
-            pytest.param(10**400, "use INFINITY for an infinite weight", id="10**400"),
-            pytest.param(-(10**400), "weight cannot be negative: -inf", id="-10**400"),
-        ],
+        [pytest.param(value, message, id=label) for label, value, message in cross_check.MESSAGES],
     )
     def test_finite_rejects_out_of_domain(self, bad, message):
         with pytest.raises(ValueError) as caught:

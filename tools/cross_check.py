@@ -1,6 +1,6 @@
-"""Check dijkstra's results and the weight error texts on any CPython >= 3.10.
+"""The stdlib-only gate for what must hold on any CPython >= 3.10.
 
-Stdlib only, so it runs on interpreters that have no pytest::
+It runs on interpreters that have no pytest::
 
     python3 tools/cross_check.py
 
@@ -14,11 +14,16 @@ It puts this checkout's ``src/`` on the import path and checks:
 2. ``finite`` rejects each out-of-domain value with its exact message.
 3. ``WeightDomain`` accepts the infinities whose binary64 image is +inf,
    one whose ``==`` answers only floats among them, and rejects the others.
+4. ``golden_digest`` and ``benchmark_sized_digest``, the sha256 of the
+   generated graphs as ``emit_graph`` writes them, equal their pins.
 
-``tests/`` checks the same things under pytest.  The last line of output is
-a JSON summary; the exit status is 0 only when every check passed.
+``MESSAGES`` and the two digest pins live here only; ``tests/`` reads them
+from this module and checks the same things under pytest.  Each failed check
+prints one line, and the last line of output is a JSON summary; the exit
+status is 0 only when every check passed.
 """
 
+import hashlib
 import json
 import math
 import platform
@@ -28,22 +33,67 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from extinf import generators  # noqa: E402
 from extinf.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
+from extinf.generators import KINDS, GeneratorSpec, generate  # noqa: E402
+from extinf.graphs import emit_graph  # noqa: E402
 from extinf.shortest_path import DOMAINS, WeightDomain, bellman_ford, dijkstra  # noqa: E402
 from extinf.weights import INFINITY, ExtendedWeight, finite  # noqa: E402
 
 GRAPHS_PER_KIND = 20
 
+# (label, value, the message of finite(value)'s ValueError)
 MESSAGES = (
-    (-1, "weight cannot be negative: -1.0"),
-    (-0.5, "weight cannot be negative: -0.5"),
-    (math.nan, "weight cannot be NaN"),
-    (math.inf, "use INFINITY for an infinite weight"),
-    (-math.inf, "weight cannot be negative: -inf"),
-    (10**400, "use INFINITY for an infinite weight"),
-    (-(10**400), "weight cannot be negative: -inf"),
+    ("-1", -1, "weight cannot be negative: -1.0"),
+    ("-0.5", -0.5, "weight cannot be negative: -0.5"),
+    ("nan", math.nan, "weight cannot be NaN"),
+    ("inf", math.inf, "use INFINITY for an infinite weight"),
+    ("-inf", -math.inf, "weight cannot be negative: -inf"),
+    ("10**400", 10**400, "use INFINITY for an infinite weight"),
+    ("-10**400", -(10**400), "weight cannot be negative: -inf"),
 )
+
+GOLDEN_DIGEST = "c3c7ff7f06d032bb4deba166cdb4cb3016bbecc89d149fdf6cbeff490db2d8f9"
+BENCHMARK_SIZED_DIGEST = "9d717b1a8e408f0136c78495d85294da1903405d91394a087d08c565927bad12"
+
+
+def golden_digest():
+    """sha256 of every kind at small sizes and 100 nodes, four seeds and two
+    weight ranges each, then of the explicit-weight kinds."""
+    sizes = {"grid": (4, 9, 16, 25), "worst_case_tie": (4, 6, 9, 13)}
+    digest = hashlib.sha256()
+    for kind in KINDS:
+        for node_count in sizes.get(kind, (4, 5, 8, 12)) + (100,):
+            for seed in (0, 7, 2**63, 2**64 - 1):
+                for weight_range in ((1, 10), (3, 1000)):
+                    spec = GeneratorSpec(kind, node_count, weight_range, seed)
+                    digest.update(emit_graph(generate(spec)).encode())
+    for kind, weights in (
+        ("linear_chain", (0, 2.5, 7)),
+        ("star", (1, 0.5, 2**53)),
+        ("cycle", (3, 0, 1.25, 9)),
+    ):
+        spec = GeneratorSpec(kind, len(weights) + (kind != "cycle"), weights=weights)
+        digest.update(emit_graph(generate(spec)).encode())
+    return digest.hexdigest()
+
+
+def benchmark_sized_digest():
+    """sha256 of the benchmark's generated kinds and sizes, and of the largest
+    grid, at three seeds each."""
+    digest = hashlib.sha256()
+    for kind, node_count in (
+        ("dense", 100),
+        ("equal_weights", 200),
+        ("grid", 400),
+        ("sparse_tree", 400),
+        ("real_world_like", 400),
+        ("disconnected", 400),
+        ("grid", 1600),
+    ):
+        for seed in (0, 12345, 2**64 - 1):
+            spec = GeneratorSpec(kind, node_count, seed=seed)
+            digest.update(emit_graph(generate(spec)).encode())
+    return digest.hexdigest()
 
 
 def search_problems(graph_id, graph, sources):
@@ -61,14 +111,14 @@ def search_problems(graph_id, graph, sources):
 
 def message_problems():
     problems = []
-    for value, expected in MESSAGES:
+    for label, value, expected in MESSAGES:
         try:
             finite(value)
         except ValueError as exc:
             if str(exc) != expected:
-                problems.append(f"finite({value!r}) said {str(exc)!r}")
+                problems.append(f"finite({label}) said {str(exc)!r}")
         else:
-            problems.append(f"finite({value!r}) did not raise")
+            problems.append(f"finite({label}) did not raise")
     return problems
 
 
@@ -106,6 +156,17 @@ def domain_problems():
     return problems
 
 
+def digest_problems():
+    problems = []
+    for name, digest, pinned in (
+        ("GOLDEN_DIGEST", golden_digest(), GOLDEN_DIGEST),
+        ("BENCHMARK_SIZED_DIGEST", benchmark_sized_digest(), BENCHMARK_SIZED_DIGEST),
+    ):
+        if digest != pinned:
+            problems.append(f"generated bytes hash to {digest}, {name} pins {pinned}")
+    return problems
+
+
 def main():
     problems = []
     checked = 0
@@ -113,13 +174,13 @@ def main():
         graph = fixture(name)
         problems += search_problems(name, graph, sorted(graph))
         checked += 1
-    for kind in generators.KINDS:
+    for kind in KINDS:
         for seed in range(GRAPHS_PER_KIND):
-            spec = generators.GeneratorSpec(kind, (2 + seed % 4) ** 2, seed=seed)
-            graph = generators.generate(spec)
+            spec = GeneratorSpec(kind, (2 + seed % 4) ** 2, seed=seed)
+            graph = generate(spec)
             problems += search_problems(f"{kind} seed {seed}", graph, [min(graph)])
             checked += 1
-    problems += message_problems() + domain_problems()
+    problems += message_problems() + domain_problems() + digest_problems()
     for problem in problems:
         print(problem)
     print(
