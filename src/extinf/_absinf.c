@@ -1,0 +1,124 @@
+/* The comparisons and hash of extinf's INFINITY, answered in C.
+
+   weights._Infinity lists AbsInf as its first base, so CPython installs
+   these slots on it directly: comparing with INFINITY makes no Python-level
+   lookup and runs no Python frame.  INFINITY's binary64 image is +inf.
+
+   An exact int or float operand, or INFINITY itself, is answered with the
+   IEEE comparison of binary64 images; an int past binary64 range has the
+   image +-inf.  Any other operand gets the comparison the Python fallback in
+   weights.py makes: < and >= compare it with -inf, <= and > with
+   2**1024 - 2**970, the smallest int whose image is +inf.  So a Fraction,
+   Decimal or ExtendedWeight answers through its own reflected method, and a
+   non-number raises the TypeError that float or int gives.  == and != also
+   take subclasses of int and float by image, and leave the rest to the
+   other operand.
+
+   Built and loaded by _native.py; stdlib CPython >= 3.10 API only. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
+static PyObject *neg_inf;       /* threshold of < and >= */
+static PyObject *rounds_to_inf; /* threshold of <= and > */
+static Py_hash_t inf_hash;      /* hash(math.inf) */
+
+static PyObject *absinf_richcompare(PyObject *self, PyObject *other, int op);
+
+/* other's binary64 image in *out: 1 if other is an int, a float (exact
+   types only when exact is set) or INFINITY, 0 if not, -1 on error. */
+static int
+image(PyObject *other, int exact, double *out)
+{
+    if (exact ? PyFloat_CheckExact(other) : PyFloat_Check(other)) {
+        *out = PyFloat_AS_DOUBLE(other);
+        return 1;
+    }
+    if (exact ? PyLong_CheckExact(other) : PyLong_Check(other)) {
+        *out = PyLong_AsDouble(other);
+        if (*out == -1.0 && PyErr_Occurred()) {
+            if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+                return -1;
+            PyErr_Clear();
+            int positive = PyObject_RichCompareBool(other, rounds_to_inf, Py_GE);
+            if (positive < 0)
+                return -1;
+            *out = positive ? Py_HUGE_VAL : -Py_HUGE_VAL;
+        }
+        return 1;
+    }
+    if (Py_TYPE(other)->tp_richcompare == absinf_richcompare) {
+        *out = Py_HUGE_VAL;
+        return 1;
+    }
+    return 0;
+}
+
+static PyObject *
+absinf_richcompare(PyObject *self, PyObject *other, int op)
+{
+    double value;
+    int found = image(other, op != Py_EQ && op != Py_NE, &value);
+    if (found < 0)
+        return NULL;
+    if (found)
+        Py_RETURN_RICHCOMPARE(Py_HUGE_VAL, value, op);
+    switch (op) {
+    case Py_LT:
+        return PyObject_RichCompare(neg_inf, other, Py_GT);
+    case Py_GE:
+        return PyObject_RichCompare(neg_inf, other, Py_LE);
+    case Py_LE:
+        return PyObject_RichCompare(rounds_to_inf, other, Py_LE);
+    case Py_GT:
+        return PyObject_RichCompare(rounds_to_inf, other, Py_GT);
+    }
+    Py_RETURN_NOTIMPLEMENTED;
+}
+
+static Py_hash_t
+absinf_hash(PyObject *self)
+{
+    return inf_hash;
+}
+
+static PyTypeObject AbsInf_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "extinf._absinf.AbsInf",
+    .tp_basicsize = sizeof(PyObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION,
+    .tp_doc = "Base of INFINITY's type: comparisons and hash of +inf, in C.",
+    .tp_richcompare = absinf_richcompare,
+    .tp_hash = absinf_hash,
+};
+
+static struct PyModuleDef absinf_module = {
+    PyModuleDef_HEAD_INIT, "_absinf", "The C comparisons of extinf's INFINITY.", -1, NULL,
+};
+
+PyMODINIT_FUNC
+PyInit__absinf(void)
+{
+    PyObject *inf = PyFloat_FromDouble(Py_HUGE_VAL);
+    if (inf == NULL)
+        return NULL;
+    inf_hash = PyObject_Hash(inf);
+    Py_DECREF(inf);
+    neg_inf = PyFloat_FromDouble(-Py_HUGE_VAL);
+    PyObject *mantissa = PyLong_FromUnsignedLongLong((1ULL << 54) - 1);
+    PyObject *shift = PyLong_FromLong(970);
+    if (mantissa != NULL && shift != NULL)
+        rounds_to_inf = PyNumber_Lshift(mantissa, shift); /* 2**1024 - 2**970 */
+    Py_XDECREF(mantissa);
+    Py_XDECREF(shift);
+    if (inf_hash == -1 || neg_inf == NULL || rounds_to_inf == NULL || PyType_Ready(&AbsInf_Type) < 0)
+        return NULL;
+    PyObject *module = PyModule_Create(&absinf_module);
+    if (module == NULL)
+        return NULL;
+    if (PyModule_AddObjectRef(module, "AbsInf", (PyObject *)&AbsInf_Type) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
+}

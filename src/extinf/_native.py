@@ -1,0 +1,123 @@
+"""Build and load ``_absinf.c``, INFINITY's comparisons in C, on first import.
+
+The extension lives in the package's bytecode cache (``__pycache__``, or
+under ``sys.pycache_prefix``), in a file named for the source's size and
+mtime and the interpreter's extension suffix, so each interpreter builds its
+own and an edited source is built again.  A cache hit costs two stats and a
+dlopen and imports no module that start-up has not.  A miss compiles in a
+child process, with the interpreter's sysconfig ``CC``, ``CCSHARED`` and
+include directory, to a temporary file moved into place by ``os.replace``,
+and removes the interpreter's older builds; the child, and the compiler with
+it, is killed after ``BUILD_TIMEOUT_S``.  Nothing is written under ``-B``.  Whatever fails, ``load`` says why instead
+of raising, and ``weights`` keeps its Python comparisons.
+
+Run as a script, ``python _native.py SOURCE TARGET`` is that child.
+"""
+
+import _imp
+import os
+import sys
+
+# importlib.machinery re-exports these; the frozen module is loaded at start-up.
+from _frozen_importlib_external import (
+    ExtensionFileLoader,
+    cache_from_source,
+    spec_from_file_location,
+)
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_absinf.c")
+BUILD_TIMEOUT_S = 120
+
+
+def load():
+    """``(module, None)`` with the built ``_absinf``, or ``(None, reason)``."""
+    try:
+        stat = os.stat(SOURCE)
+        suffix = _imp.extension_suffixes()[0]
+        target = os.path.join(
+            os.path.dirname(cache_from_source(SOURCE)),
+            f"_absinf.{stat.st_size}-{stat.st_mtime_ns}{suffix}",
+        )
+        if not os.path.exists(target):
+            if sys.dont_write_bytecode:
+                return None, f"{target} is not built: -B or PYTHONDONTWRITEBYTECODE forbids it"
+            failure = _build(target)
+            if failure is not None:
+                return None, failure
+        loader = ExtensionFileLoader("extinf._absinf", target)
+        module = loader.create_module(spec_from_file_location(loader.name, target, loader=loader))
+        loader.exec_module(module)
+        return module, None
+    except Exception as exc:  # the import must not fail: the fallback is exact
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _build(target):
+    """Run this file as the build child; None, or why it failed."""
+    import signal
+    import subprocess
+
+    child = subprocess.Popen(
+        [sys.executable, "-I", os.path.abspath(__file__), SOURCE, target],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        output = child.communicate(timeout=BUILD_TIMEOUT_S)[0]
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)  # the compiler too, not only the child
+        child.communicate()
+        return f"building {target} took more than {BUILD_TIMEOUT_S} s"
+    if child.returncode != 0:
+        lines = output.strip().splitlines() or [f"exit status {child.returncode}"]
+        return f"building {target} failed: {lines[-1]}"
+    return None
+
+
+def _compile(source, target):
+    """Compile source to target, then remove older builds for this interpreter."""
+    import shlex
+    import subprocess
+    import sysconfig
+
+    compiler = sysconfig.get_config_var("CC")
+    if not compiler:
+        return "sysconfig names no C compiler"
+    directory = os.path.dirname(target)
+    os.makedirs(directory, exist_ok=True)
+    partial = f"{target}.{os.getpid()}.tmp"
+    command = [
+        *shlex.split(compiler),
+        *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
+        "-shared",
+        "-O2",
+        "-I",
+        sysconfig.get_paths()["include"],
+        source,
+        "-o",
+        partial,
+    ]
+    try:
+        subprocess.run(command, check=True, stdin=subprocess.DEVNULL)
+        os.replace(partial, target)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        return str(exc)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+    stem, suffix = "_absinf.", _imp.extension_suffixes()[0]
+    for name in os.listdir(directory):
+        path = os.path.join(directory, name)
+        if name.startswith(stem) and name.endswith(suffix) and path != target:
+            try:
+                os.remove(path)
+            except FileNotFoundError:  # another build removed it first
+                pass
+    return None
+
+
+if __name__ == "__main__":
+    sys.exit(_compile(*sys.argv[1:]))

@@ -12,7 +12,7 @@ import os
 import sys
 import warnings
 
-from . import generators, graphs
+from . import generators, graphs, weights
 from .fixtures import FIXTURE_NAMES, ROAD_ROUTES, fixture, primary_fixture_names
 from .shortest_path import DOMAINS, SENTINEL
 
@@ -237,6 +237,7 @@ def cmd_compare(args) -> int:
             "iterations": args.iterations,
             "repetitions": args.repetitions,
             "alpha": args.alpha,
+            "sentinel_comparisons": weights.SENTINEL_COMPARISONS,
         }
         doc = bench.comparison_jsonable(rows, report, config)
         _write_output(json.dumps(doc, indent=2) + "\n", args.output)

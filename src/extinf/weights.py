@@ -11,17 +11,20 @@ overflows saturates to the sentinel.
 
 ExtendedWeight instances also compare with and add to plain numbers, so the
 sentinel can sit in a distance table next to raw floats.  A search compares
-``INFINITY`` tens of thousands of times per query, so the singleton's ``<``,
-``<=``, ``>`` and ``>=`` run without a Python frame (see ``_Infinity``); an
-operand that is not an int or a float answers through its own reflected
-method, and a non-number raises the ``TypeError`` that ``float`` or ``int``
-gives.
+``INFINITY`` tens of thousands of times per query, so the singleton's
+comparisons run without a Python frame (see ``_Infinity``); an operand that
+is not an int or a float answers through its own reflected method, and a
+non-number raises the ``TypeError`` that ``float`` or ``int`` gives.
+``SENTINEL_COMPARISONS`` says which implementation is loaded, ``"c"`` or
+``"python"``, and ``NATIVE_FAILURE`` why the C one is not, when it is not.
 """
 
 import enum
 import math
 import operator
 from functools import partial
+
+from . import _native
 
 __all__ = [
     "Ordering",
@@ -145,16 +148,26 @@ class ExtendedWeight:
     __radd__ = __add__
 
 
-class _Infinity(ExtendedWeight):
+_absinf, NATIVE_FAILURE = _native.load()
+SENTINEL_COMPARISONS = "python" if _absinf is None else "c"
+_INFINITY_BASES = (ExtendedWeight,) if _absinf is None else (_absinf.AbsInf, ExtendedWeight)
+
+
+class _Infinity(*_INFINITY_BASES):
     """Type of the ``INFINITY`` singleton, whose ordering runs in C.
 
-    Its payload is ``+inf``, so ``==``, ``hash`` and the module functions treat
-    it like any weight.  ``<`` and ``>=`` compare the operand with ``-inf``,
-    ``<=`` and ``>`` with ``_ROUNDS_TO_INF``; Python compares ints and floats
-    exactly, so ``INFINITY > x`` is "x's binary64 image is below +inf" for
-    every int and float, NaN and huge ints included.  An ExtendedWeight
-    operand makes the float or int return NotImplemented and answers through
-    its own reflected method, so ``INFINITY < INFINITY`` runs ``-inf > -inf``.
+    Its payload is ``+inf``, so the module functions treat it like any
+    weight.  With the C extension built (``_absinf.c``), its first base
+    supplies every comparison and the hash, which CPython then calls with no
+    Python-level lookup.  Without it, ``==`` and ``hash`` are inherited, and
+    ``<`` and ``>=`` compare the operand with ``-inf``, ``<=`` and ``>`` with
+    ``_ROUNDS_TO_INF``, through ``partial``s that run no Python frame either.
+    Python compares ints and floats exactly, so ``INFINITY > x`` is "x's
+    binary64 image is below +inf" for every int and float, NaN and huge ints
+    included.  An ExtendedWeight operand makes the float or int return
+    NotImplemented and answers through its own reflected method, so the
+    fallback's ``INFINITY < INFINITY`` runs ``-inf > -inf``; the C base
+    answers it at once.
     """
 
     __slots__ = ()
@@ -168,12 +181,13 @@ class _Infinity(ExtendedWeight):
     def value(self) -> float:
         raise ValueError("infinity carries no finite value")
 
-    # staticmethod keeps each partial unbound: called with the operand only.
-    # Newer CPythons warn that a bare partial in a class will bind like a method.
-    __lt__ = staticmethod(partial(operator.gt, -math.inf))
-    __le__ = staticmethod(partial(operator.le, _ROUNDS_TO_INF))
-    __gt__ = staticmethod(partial(operator.gt, _ROUNDS_TO_INF))
-    __ge__ = staticmethod(partial(operator.le, -math.inf))
+    if _absinf is None:
+        # staticmethod keeps each partial unbound: called with the operand only.
+        # Newer CPythons warn that a bare partial in a class will bind like a method.
+        __lt__ = staticmethod(partial(operator.gt, -math.inf))
+        __le__ = staticmethod(partial(operator.le, _ROUNDS_TO_INF))
+        __gt__ = staticmethod(partial(operator.gt, _ROUNDS_TO_INF))
+        __ge__ = staticmethod(partial(operator.le, -math.inf))
 
     def __add__(self, other):
         # Absorbs any numeric addend; NaN and non-numbers are refused.

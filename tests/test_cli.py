@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extinf.bench as bench
+from extinf import weights
 from extinf.cli import main
 from extinf.fixtures import fixture
 from extinf.graphs import DanglingTargetWarning, parse_graph
@@ -189,6 +190,9 @@ class TestCompare:
         assert doc["welch"]["n_a"] == doc["welch"]["n_b"] == 20
         assert doc["welch"]["alpha"] == 0.01
         assert doc["config"]["iterations"] == 1
+        # Which implementation of INFINITY's comparisons produced the times.
+        assert doc["config"]["sentinel_comparisons"] == weights.SENTINEL_COMPARISONS
+        assert weights.SENTINEL_COMPARISONS in ("c", "python")
 
     def test_table_output(self, capsys):
         code, out, _ = run_cli(

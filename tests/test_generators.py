@@ -16,6 +16,7 @@ import cross_check
 from extinf.fixtures import CATEGORIES, fixture
 from extinf.generators import _BLOCK, KINDS, GeneratorSpec, SplitMix64, generate
 from extinf.graphs import emit_graph, validate
+from extinf.weights import SENTINEL_COMPARISONS
 from helpers import CATEGORY_PREDICATES
 
 # Node counts that satisfy every kind's minimum (grid needs perfect squares).
@@ -229,16 +230,23 @@ def _interpreters():
 
 
 def test_every_interpreter_passes_cross_check():
-    # The search's results, the weight messages and the generated bytes must
-    # not depend on the interpreter; the gate needs no pytest.
-    failed = {}
+    # The search's results, the weight messages, the generated bytes and
+    # INFINITY's operators must not depend on the interpreter; the gate needs
+    # no pytest.  Each interpreter builds and checks its own C comparisons
+    # when this one could build them.
+    failed, comparisons = {}, {}
     for version, python in _interpreters().items():
         result = subprocess.run(
             [python, "-I", cross_check.__file__], capture_output=True, text=True, timeout=600
         )
         if result.returncode != 0:
             failed[version] = result.stdout + result.stderr
+        else:
+            summary = json.loads(result.stdout.splitlines()[-1])
+            comparisons[version] = summary["sentinel_comparisons"]
     assert failed == {}
+    if SENTINEL_COMPARISONS == "c":
+        assert set(comparisons.values()) == {"c"}, comparisons
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import extinf
+from extinf import weights
 from extinf.bench import (
     ComparisonRow,
     TimingSample,
@@ -162,6 +163,13 @@ _REEXPORTED = (
     "ComparisonRow TimingSample improvement run_comparison time_dijkstra "
     "DegenerateSamplesError SampleSet WelchReport mean student_t_cdf variance welch_test"
 )
+# What ``import extinf`` loads: the search path, the loader of INFINITY's C
+# comparisons, and the extension itself when it is built.
+_SEARCH_MODULES = sorted(
+    ["extinf", "extinf._native", "extinf.fixtures", "extinf.generators", "extinf.graphs"]
+    + ["extinf.shortest_path", "extinf.weights"]
+    + (["extinf._absinf"] if weights.SENTINEL_COMPARISONS == "c" else [])
+)
 _IMPORT_CASES = {
     "neither_dataclasses_nor_inspect": (
         "import extinf, extinf.cli; "
@@ -182,8 +190,7 @@ print(all(star[name] is getattr(extinf, name) for name in names))
 print(hasattr(extinf, "cli"), hasattr(extinf, "no_such_name"))
 from extinf import cli
 print(cli.__name__)""",
-        "['extinf', 'extinf.fixtures', 'extinf.generators', 'extinf.graphs', "
-        "'extinf.shortest_path', 'extinf.weights']\n"
+        f"{_SEARCH_MODULES}\n"
         "True\nTrue extinf.stats\n[] []\nTrue\nFalse False\nextinf.cli\n",
     ),
     # The CLI imports json, csv, bench and stats only in the commands that use them.

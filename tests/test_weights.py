@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import cross_check
 from conftest import extended_weights, finite_payloads
+from extinf import weights
 from extinf.weights import (
     INFINITY,
     ExtendedWeight,
@@ -261,21 +262,9 @@ _operands = st.one_of(
 )
 
 
-def _image(x):
-    """Binary64 image of an operand, None for a non-number."""
-    if isinstance(x, ExtendedWeight):
-        return to_binary64(x)
-    if isinstance(x, (int, float)):
-        try:
-            return float(x)
-        except OverflowError:  # an int past binary64 range rounds to +-inf
-            return math.inf if x > 0 else -math.inf
-    return None
-
-
 def _expected_sum(w, v):
     """w + v by the contract; None when the sum must raise TypeError."""
-    image = _image(v)
+    image = cross_check.binary64_image(v)
     if image is None or math.isnan(image):
         return None
     if w.is_infinite:
@@ -288,7 +277,7 @@ def _expected_sum(w, v):
 
 def _check_operators(w, v):
     """Every operator between weight w and operand v, in both orders."""
-    a, b = _image(w), _image(v)
+    a, b = cross_check.binary64_image(w), cross_check.binary64_image(v)
     for op in _COMPARISONS:
         for (x, y), (ix, iy) in (((w, v), (a, b)), ((v, w), (b, a))):
             if b is not None:
@@ -313,9 +302,11 @@ def _check_operators(w, v):
 class TestOperatorSemantics:
     """Operators on weights agree with IEEE arithmetic on binary64 images.
 
-    The sentinel's ordering compares the operand with a threshold in C, and its
-    + takes a fast path on int and float addends; these tests pin every path,
-    in both operand orders, to the contract.
+    The sentinel's comparisons run in C (the ``_absinf`` slot when it is
+    built, else thresholds through ``partial``), and its + takes a fast path
+    on int and float addends; these tests pin every path of the comparisons
+    loaded, in both operand orders, to the contract.  tests/test_native.py
+    runs the same table on the other implementation.
     """
 
     def test_edge_operands(self):
@@ -349,7 +340,7 @@ def _python_calls(thunk):
 
 
 class TestSingleton:
-    """INFINITY is the one instance of a private subclass whose <, <=, > and >=
+    """INFINITY is the one instance of a private subclass whose comparisons
     are C callables, so a search's comparisons with it run no Python frame."""
 
     @pytest.mark.parametrize(
@@ -368,21 +359,31 @@ class TestSingleton:
         assert calls == ["<lambda>"]
         assert results == (False, False, True, False)
 
-    def test_addition_hash_and_equality_run_one_method(self):
-        # The Python operators read the +inf payload with no branch on the
-        # kind of weight: + answers int and float addends in __add__ alone,
-        # and == converts only its operand.
+    def test_addition_runs_one_method_and_c_equality_and_hash_none(self):
+        # + answers int and float addends in __add__ alone.  The C base
+        # answers == and hash with no frame; without it, ExtendedWeight's
+        # methods read the +inf payload, and == converts only its operand.
         results, calls = _python_calls(lambda: (INFINITY + 1.0, INFINITY + 3))
         assert calls == ["<lambda>", "__add__", "__add__"]
         assert results == (INFINITY, INFINITY)
+        in_c = weights.SENTINEL_COMPARISONS == "c"
         result, calls = _python_calls(lambda: hash(INFINITY))
-        assert calls == ["<lambda>", "__hash__"] and result == hash(math.inf)
-        result, calls = _python_calls(lambda: INFINITY == INFINITY)
-        assert calls == ["<lambda>", "__eq__", "_as_binary64"] and result is True
+        assert calls == ["<lambda>"] + ([] if in_c else ["__hash__"])
+        assert result == hash(math.inf)
+        result, calls = _python_calls(lambda: (INFINITY == INFINITY, INFINITY != INFINITY))
+        assert calls == ["<lambda>"] + ([] if in_c else ["__eq__", "_as_binary64"] * 2)
+        assert result == (True, False)
 
     def test_type_repr_and_hash(self):
+        # With the C extension loaded, its type is the first base, so its
+        # slots, not ExtendedWeight's methods, answer comparisons and hash.
         assert type(INFINITY) is not ExtendedWeight
-        assert type(INFINITY).__bases__ == (ExtendedWeight,)
+        if weights.SENTINEL_COMPARISONS == "c":
+            assert type(INFINITY).__bases__ == (weights._absinf.AbsInf, ExtendedWeight)
+            assert weights.NATIVE_FAILURE is None
+        else:
+            assert type(INFINITY).__bases__ == (ExtendedWeight,)
+            assert weights.NATIVE_FAILURE
         assert isinstance(INFINITY, ExtendedWeight) and not isinstance(INFINITY, float)
         assert repr(INFINITY) == "ExtendedWeight(inf)"
         assert hash(INFINITY) == hash(math.inf)

@@ -16,6 +16,11 @@ It puts this checkout's ``src/`` on the import path and checks:
    one whose ``==`` answers only floats among them, and rejects the others.
 4. ``golden_digest`` and ``benchmark_sized_digest``, the sha256 of the
    generated graphs as ``emit_graph`` writes them, equal their pins.
+5. All six comparisons of ``INFINITY`` with each number of ``OPERANDS``,
+   in both orders, equal the IEEE comparison of the binary64 images; a
+   non-number makes ``<``, ``<=``, ``>`` and ``>=`` raise ``TypeError`` and
+   ``==`` answer False; and ``hash(INFINITY) == hash(math.inf)``.  Run on whichever comparisons the
+   import loaded, C or Python, which the summary names.
 
 ``MESSAGES`` and the two digest pins live here only; ``tests/`` reads them
 from this module and checks the same things under pytest.  Each failed check
@@ -26,8 +31,11 @@ status is 0 only when every check passed.
 import hashlib
 import json
 import math
+import operator
 import platform
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,7 +45,13 @@ from extinf.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
 from extinf.generators import KINDS, GeneratorSpec, generate  # noqa: E402
 from extinf.graphs import emit_graph  # noqa: E402
 from extinf.shortest_path import DOMAINS, WeightDomain, bellman_ford, dijkstra  # noqa: E402
-from extinf.weights import INFINITY, ExtendedWeight, finite  # noqa: E402
+from extinf.weights import (  # noqa: E402
+    INFINITY,
+    SENTINEL_COMPARISONS,
+    ExtendedWeight,
+    finite,
+    to_binary64,
+)
 
 GRAPHS_PER_KIND = 20
 
@@ -50,6 +64,48 @@ MESSAGES = (
     ("-inf", -math.inf, "weight cannot be negative: -inf"),
     ("10**400", 10**400, "use INFINITY for an infinite weight"),
     ("-10**400", -(10**400), "weight cannot be negative: -inf"),
+)
+
+_MAX = sys.float_info.max
+_ROUNDS_TO_INF = 2**1024 - 2**970  # the smallest int whose binary64 image is +inf
+
+# (label, operand) for INFINITY's comparisons: edge values of every kind of
+# number they take, then non-numbers.
+OPERANDS = (
+    ("nan", math.nan),
+    ("0.0", 0.0),
+    ("-0.0", -0.0),
+    ("inf", math.inf),
+    ("-inf", -math.inf),
+    ("5e-324", 5e-324),
+    ("max float", _MAX),
+    ("0", 0),
+    ("1", 1),
+    ("-1", -1),
+    ("2**53+1", 2**53 + 1),
+    ("10**300", 10**300),
+    ("2**1024-2**970-1", _ROUNDS_TO_INF - 1),
+    ("2**1024-2**970", _ROUNDS_TO_INF),
+    ("2**1024", 2**1024),
+    ("10**400", 10**400),
+    ("-10**400", -(10**400)),
+    ("INFINITY", INFINITY),
+    ("finite(0)", finite(0)),
+    ("finite(1.0)", finite(1.0)),
+    ("finite(max float)", finite(_MAX)),
+    ("Fraction(1, 3)", Fraction(1, 3)),
+    ("Decimal('0.5')", Decimal("0.5")),
+    ("'3'", "3"),
+    ("None", None),
+    ("(1.0,)", (1.0,)),
+)
+COMPARISONS = (
+    ("<", operator.lt),
+    ("<=", operator.le),
+    ("==", operator.eq),
+    ("!=", operator.ne),
+    (">", operator.gt),
+    (">=", operator.ge),
 )
 
 GOLDEN_DIGEST = "c3c7ff7f06d032bb4deba166cdb4cb3016bbecc89d149fdf6cbeff490db2d8f9"
@@ -156,6 +212,45 @@ def domain_problems():
     return problems
 
 
+def binary64_image(operand):
+    """An operand's binary64 image, None for a non-number; an int past
+    binary64 range rounds to +-inf."""
+    if isinstance(operand, ExtendedWeight):
+        return to_binary64(operand)
+    if not isinstance(operand, (int, float, Fraction, Decimal)):
+        return None
+    try:
+        return float(operand)
+    except OverflowError:
+        return math.inf if operand > 0 else -math.inf
+
+
+def operator_problems():
+    problems = []
+    for label, operand in OPERANDS:
+        image = binary64_image(operand)
+        for symbol, op in COMPARISONS:
+            for text, operands, images in (
+                (f"INFINITY {symbol} {label}", (INFINITY, operand), (math.inf, image)),
+                (f"{label} {symbol} INFINITY", (operand, INFINITY), (image, math.inf)),
+            ):
+                if image is not None:
+                    expected = op(*images)
+                elif op in (operator.eq, operator.ne):
+                    expected = op is operator.ne  # identity decides
+                else:
+                    expected = TypeError
+                try:
+                    got = op(*operands)
+                except Exception as exc:  # noqa: BLE001 - any exception is an answer
+                    got = type(exc)
+                if got is not expected:
+                    problems.append(f"{text} gave {got!r}, expected {expected!r}")
+    if hash(INFINITY) != hash(math.inf):
+        problems.append(f"hash(INFINITY) is {hash(INFINITY)}, hash(math.inf) is {hash(math.inf)}")
+    return problems
+
+
 def digest_problems():
     problems = []
     for name, digest, pinned in (
@@ -180,7 +275,7 @@ def main():
             graph = generate(spec)
             problems += search_problems(f"{kind} seed {seed}", graph, [min(graph)])
             checked += 1
-    problems += message_problems() + domain_problems() + digest_problems()
+    problems += message_problems() + domain_problems() + digest_problems() + operator_problems()
     for problem in problems:
         print(problem)
     print(
@@ -189,6 +284,7 @@ def main():
                 "python": platform.python_version(),
                 "graphs": checked,
                 "problems": len(problems),
+                "sentinel_comparisons": SENTINEL_COMPARISONS,
             }
         )
     )

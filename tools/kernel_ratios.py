@@ -18,7 +18,9 @@ graphs of each kind) and times two things:
 
 It checks nothing: ``tests/test_weights.py`` pins the operators, and every
 ``perfbench/run.py`` run checks both arms against ``bellman_ford``.  The last
-line of output is the whole report as JSON.
+line of output is the whole report as JSON; its ``sentinel_comparisons``
+names the implementation of INFINITY's comparisons that was timed, ``c`` or
+``python``.
 """
 
 import json
@@ -34,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from extinf.shortest_path import DOMAINS, linear_scan_distances  # noqa: E402
-from extinf.weights import INFINITY  # noqa: E402
+from extinf.weights import INFINITY, SENTINEL_COMPARISONS  # noqa: E402
 from workloads import GENERATED, build_inputs  # noqa: E402
 
 SEED = 501
@@ -95,6 +97,7 @@ def main():
     queries = build_inputs("sparse_scan", SEED).queries
     report = {
         "python": platform.python_version(),
+        "sentinel_comparisons": SENTINEL_COMPARISONS,
         "seed": SEED,
         "rounds": ROUNDS,
         "operators_ns": operator_costs(),
