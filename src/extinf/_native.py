@@ -4,19 +4,17 @@ The extension lives in the package's bytecode cache (``__pycache__``, or
 under ``sys.pycache_prefix``), in a file named for the source's size and
 mtime and the interpreter's extension suffix, so each interpreter builds its
 own and an edited source is built again.  A cache hit costs two stats and a
-dlopen and imports no module that start-up has not.  A miss compiles in a
-child process, with the interpreter's sysconfig ``CC``, ``CCSHARED`` and
-include directory, to a temporary file moved into place by ``os.replace``,
-and removes the interpreter's older builds; the child, and the compiler with
-it, is killed after ``BUILD_TIMEOUT_S``.  Nothing is written under ``-B``.  Whatever fails, ``load`` says why instead
-of raising, and ``weights`` keeps its Python comparisons.
-
-Run as a script, ``python _native.py SOURCE TARGET`` is that child.
+dlopen and imports no module that start-up has not.  A miss runs the
+interpreter's sysconfig ``CC``, with its ``CCSHARED`` and include directory,
+in a session of its own that is killed after ``BUILD_TIMEOUT_S``; it writes a
+temporary file moved into place by ``os.replace`` and removes the
+interpreter's older builds.  ``-B`` does not stop a build: it governs
+bytecode, and the extension is not bytecode.  Whatever fails, ``load`` says
+why instead of raising, and ``weights`` keeps its Python comparisons.
 """
 
 import _imp
 import os
-import sys
 
 # importlib.machinery re-exports these; the frozen module is loaded at start-up.
 from _frozen_importlib_external import (
@@ -39,8 +37,6 @@ def load():
             f"_absinf.{stat.st_size}-{stat.st_mtime_ns}{suffix}",
         )
         if not os.path.exists(target):
-            if sys.dont_write_bytecode:
-                return None, f"{target} is not built: -B or PYTHONDONTWRITEBYTECODE forbids it"
             failure = _build(target)
             if failure is not None:
                 return None, failure
@@ -53,33 +49,9 @@ def load():
 
 
 def _build(target):
-    """Run this file as the build child; None, or why it failed."""
-    import signal
-    import subprocess
-
-    child = subprocess.Popen(
-        [sys.executable, "-I", os.path.abspath(__file__), SOURCE, target],
-        stdin=subprocess.DEVNULL,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        start_new_session=True,
-    )
-    try:
-        output = child.communicate(timeout=BUILD_TIMEOUT_S)[0]
-    except subprocess.TimeoutExpired:
-        os.killpg(child.pid, signal.SIGKILL)  # the compiler too, not only the child
-        child.communicate()
-        return f"building {target} took more than {BUILD_TIMEOUT_S} s"
-    if child.returncode != 0:
-        lines = output.strip().splitlines() or [f"exit status {child.returncode}"]
-        return f"building {target} failed: {lines[-1]}"
-    return None
-
-
-def _compile(source, target):
-    """Compile source to target, then remove older builds for this interpreter."""
+    """Compile SOURCE to target and remove older builds; None, or why it failed."""
     import shlex
+    import signal
     import subprocess
     import sysconfig
 
@@ -87,7 +59,6 @@ def _compile(source, target):
     if not compiler:
         return "sysconfig names no C compiler"
     directory = os.path.dirname(target)
-    os.makedirs(directory, exist_ok=True)
     partial = f"{target}.{os.getpid()}.tmp"
     command = [
         *shlex.split(compiler),
@@ -96,15 +67,32 @@ def _compile(source, target):
         "-O2",
         "-I",
         sysconfig.get_paths()["include"],
-        source,
+        SOURCE,
         "-o",
         partial,
     ]
     try:
-        subprocess.run(command, check=True, stdin=subprocess.DEVNULL)
+        os.makedirs(directory, exist_ok=True)
+        child = subprocess.Popen(
+            command,
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            output = child.communicate(timeout=BUILD_TIMEOUT_S)[0]
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)  # the driver's own children too
+            child.communicate()
+            return f"building {target} took more than {BUILD_TIMEOUT_S} s"
+        if child.returncode != 0:
+            lines = output.strip().splitlines() or [f"exit status {child.returncode}"]
+            return f"building {target} failed: {lines[-1]}"
         os.replace(partial, target)
-    except (OSError, subprocess.CalledProcessError) as exc:
-        return str(exc)
+    except OSError as exc:
+        return f"building {target} failed: {exc}"
     finally:
         if os.path.exists(partial):
             os.remove(partial)
@@ -117,7 +105,3 @@ def _compile(source, target):
             except FileNotFoundError:  # another build removed it first
                 pass
     return None
-
-
-if __name__ == "__main__":
-    sys.exit(_compile(*sys.argv[1:]))

@@ -20,7 +20,8 @@ It puts this checkout's ``src/`` on the import path and checks:
    in both orders, equal the IEEE comparison of the binary64 images; a
    non-number makes ``<``, ``<=``, ``>`` and ``>=`` raise ``TypeError`` and
    ``==`` answer False; and ``hash(INFINITY) == hash(math.inf)``.  Run on whichever comparisons the
-   import loaded, C or Python, which the summary names.
+   import loaded, C or Python, which the summary names, with the reason the
+   C ones did not load, if they did not.
 
 ``MESSAGES`` and the two digest pins live here only; ``tests/`` reads them
 from this module and checks the same things under pytest.  Each failed check
@@ -47,6 +48,7 @@ from extinf.graphs import emit_graph  # noqa: E402
 from extinf.shortest_path import DOMAINS, WeightDomain, bellman_ford, dijkstra  # noqa: E402
 from extinf.weights import (  # noqa: E402
     INFINITY,
+    NATIVE_FAILURE,
     SENTINEL_COMPARISONS,
     ExtendedWeight,
     finite,
@@ -285,6 +287,7 @@ def main():
                 "graphs": checked,
                 "problems": len(problems),
                 "sentinel_comparisons": SENTINEL_COMPARISONS,
+                "native_failure": NATIVE_FAILURE,
             }
         )
     )

@@ -20,7 +20,7 @@ It checks nothing: ``tests/test_weights.py`` pins the operators, and every
 ``perfbench/run.py`` run checks both arms against ``bellman_ford``.  The last
 line of output is the whole report as JSON; its ``sentinel_comparisons``
 names the implementation of INFINITY's comparisons that was timed, ``c`` or
-``python``.
+``python``, and its ``native_failure`` why the C one was not, or null.
 """
 
 import json
@@ -36,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from extinf.shortest_path import DOMAINS, linear_scan_distances  # noqa: E402
-from extinf.weights import INFINITY, SENTINEL_COMPARISONS  # noqa: E402
+from extinf.weights import INFINITY, NATIVE_FAILURE, SENTINEL_COMPARISONS  # noqa: E402
 from workloads import GENERATED, build_inputs  # noqa: E402
 
 SEED = 501
@@ -98,6 +98,7 @@ def main():
     report = {
         "python": platform.python_version(),
         "sentinel_comparisons": SENTINEL_COMPARISONS,
+        "native_failure": NATIVE_FAILURE,
         "seed": SEED,
         "rounds": ROUNDS,
         "operators_ns": operator_costs(),
