@@ -1,4 +1,5 @@
-/* The comparisons and hash of extinf's INFINITY, answered in C.
+/* The comparisons and hash of extinf's INFINITY, and a check of plain
+   graphs, answered in C.
 
    weights._Infinity lists AbsInf as its first base, so CPython installs
    these slots on it directly: comparing with INFINITY makes no Python-level
@@ -13,6 +14,11 @@
    non-number raises the TypeError that float or int gives.  == and != also
    take subclasses of int and float by image, and leave the rest to the
    other operand.
+
+   plain_graph(graph) is True only when graphs.validate(graph) would find
+   nothing; False means "look closer", and the Python loop words every
+   problem.  It takes exact types only (dict, str, int, float), so no Python
+   code runs inside it and the graph cannot change under it.
 
    Built and loaded by _native.py; stdlib CPython >= 3.10 API only. */
 
@@ -82,6 +88,68 @@ absinf_hash(PyObject *self)
     return inf_hash;
 }
 
+/* 1 if weight is an exact int in [0, 2**1024 - 2**970) or an exact float in
+   [0.0, inf), 0 if not, -1 on error.  PyLong_AsDouble overflows from exactly
+   2**1024 - 2**970 up, the ints whose binary64 image is +-inf. */
+static int
+plain_weight(PyObject *weight)
+{
+    double value;
+    if (PyFloat_CheckExact(weight))
+        value = PyFloat_AS_DOUBLE(weight);
+    else if (PyLong_CheckExact(weight)) {
+        value = PyLong_AsDouble(weight);
+        if (value == -1.0 && PyErr_Occurred()) {
+            if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+                return -1;
+            PyErr_Clear();
+            return 0;
+        }
+    }
+    else
+        return 0;
+    return value >= 0.0 && value < Py_HUGE_VAL; /* false for NaN */
+}
+
+/* True if graph is an exact dict of exact str keys to exact dicts, each of
+   whose targets is an exact str key of graph and each of whose weights is
+   plain; False otherwise. */
+static PyObject *
+plain_graph(PyObject *module, PyObject *graph)
+{
+    PyObject *node, *neighbors, *target, *weight;
+    Py_ssize_t i = 0, j;
+    if (!PyDict_CheckExact(graph))
+        Py_RETURN_FALSE;
+    /* Every key is checked first, so a target lookup compares exact strs only. */
+    while (PyDict_Next(graph, &i, &node, &neighbors)) {
+        if (!PyUnicode_CheckExact(node) || !PyDict_CheckExact(neighbors))
+            Py_RETURN_FALSE;
+    }
+    for (i = 0; PyDict_Next(graph, &i, &node, &neighbors);) {
+        for (j = 0; PyDict_Next(neighbors, &j, &target, &weight);) {
+            if (!PyUnicode_CheckExact(target))
+                Py_RETURN_FALSE;
+            int plain = plain_weight(weight);
+            if (plain > 0)
+                plain = PyDict_Contains(graph, target);
+            if (plain < 0)
+                return NULL;
+            if (!plain)
+                Py_RETURN_FALSE;
+        }
+    }
+    Py_RETURN_TRUE;
+}
+
+static PyMethodDef absinf_functions[] = {
+    {"plain_graph", plain_graph, METH_O,
+     "plain_graph(graph) -> bool\n\nTrue only if graphs.validate(graph) would find nothing: exact\n"
+     "dict, str, int and float types, every target a node, every weight\n"
+     "finite and non-negative.  False means look closer."},
+    {NULL, NULL, 0, NULL},
+};
+
 static PyTypeObject AbsInf_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "extinf._absinf.AbsInf",
@@ -93,7 +161,8 @@ static PyTypeObject AbsInf_Type = {
 };
 
 static struct PyModuleDef absinf_module = {
-    PyModuleDef_HEAD_INIT, "_absinf", "The C comparisons of extinf's INFINITY.", -1, NULL,
+    PyModuleDef_HEAD_INIT, "_absinf",
+    "The C comparisons of extinf's INFINITY, and a check of plain graphs.", -1, absinf_functions,
 };
 
 PyMODINIT_FUNC

@@ -16,6 +16,13 @@ accept a plain ``int`` or ``float`` in range inline, without a call (``int``
 first, since bundled and generated graphs hold int weights), and send every
 other weight to it; ``generators`` uses it for explicit weights.  A search
 never reads or writes JSON, so ``json`` loads on first use.
+
+Before those per-edge loops run, the C extension that also holds INFINITY's
+comparisons (``_absinf.c``) checks a plain graph in one pass:
+``_plain_graph(graph)`` is True only when ``validate(graph)`` would find
+nothing, and then ``validate``, ``parse_graph`` and ``emit_graph`` skip their
+loops.  False means "look closer": the loops run and word every problem.
+Without the extension ``_plain_graph`` is None and the loops always run.
 """
 
 import itertools
@@ -23,7 +30,7 @@ import math
 import warnings
 from operator import concat
 
-from .weights import _ROUNDS_TO_INF, canonical_number
+from .weights import _ROUNDS_TO_INF, _absinf, canonical_number
 
 __all__ = [
     "DanglingTargetWarning",
@@ -34,6 +41,9 @@ __all__ = [
     "parse_graph",
     "validate",
 ]
+
+
+_plain_graph = None if _absinf is None else _absinf.plain_graph
 
 
 class GraphParseError(ValueError):
@@ -87,23 +97,25 @@ def parse_graph(text: str) -> dict:
     # JSONDecodeError, an int literal past int_max_str_digits, or nesting too deep
     except (ValueError, RecursionError) as exc:
         raise GraphParseError(f"malformed JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise GraphParseError(
-            f"graph document must be a JSON object, got {type(doc).__name__}"
-        )
-    for node, neighbors in doc.items():
-        if not isinstance(neighbors, dict):
+    plain = _plain_graph is not None and _plain_graph(doc)
+    if not plain:
+        if not isinstance(doc, dict):
             raise GraphParseError(
-                f"adjacency of node {node!r} must be an object, got {type(neighbors).__name__}"
+                f"graph document must be a JSON object, got {type(doc).__name__}"
             )
-        for neighbor, w in neighbors.items():
-            if not (
-                (type(w) is int and 0 <= w < _ROUNDS_TO_INF)
-                or (type(w) is float and 0.0 <= w < math.inf)
-            ):
-                problem = _check_weight(node, neighbor, w)
-                if problem is not None:
-                    raise GraphParseError(problem)
+        for node, neighbors in doc.items():
+            if not isinstance(neighbors, dict):
+                raise GraphParseError(
+                    f"adjacency of node {node!r} must be an object, got {type(neighbors).__name__}"
+                )
+            for neighbor, w in neighbors.items():
+                if not (
+                    (type(w) is int and 0 <= w < _ROUNDS_TO_INF)
+                    or (type(w) is float and 0.0 <= w < math.inf)
+                ):
+                    problem = _check_weight(node, neighbor, w)
+                    if problem is not None:
+                        raise GraphParseError(problem)
     # json.loads keeps the last of duplicate keys.  Every value is now a number
     # or a flat object, so each member has exactly one ":" outside a string and
     # equal counts prove that no key was dropped; unequal ones are looked into.
@@ -119,6 +131,8 @@ def parse_graph(text: str) -> dict:
                     where = f"node {key!r}" if node is None else f"edge {node!r} -> {key!r}"
                     raise GraphParseError(f"{where} appears more than once")
                 seen.add(key)
+    if plain:  # every target is a node
+        return doc
     graph = doc  # json.loads built every dict afresh, so the graph owns them
     dangling = sorted(set(itertools.chain.from_iterable(graph.values())) - graph.keys())
     if dangling:
@@ -151,7 +165,8 @@ class _KeyTexts(dict):
 class _NumberTexts(dict):
     """Weight -> JSON text of its canonical number, shared by equal weights.
 
-    Equal numbers have the same binary64 image, so one entry serves them all
+    Every weight is an int or a float (``emit_graph`` checks that first), and
+    equal numbers have the same binary64 image, so one entry serves them all
     (``0``, ``0.0``, ``-0.0`` and ``False`` write ``0``); a NaN equals no
     other weight and gets an entry of its own.
     """
@@ -160,8 +175,6 @@ class _NumberTexts(dict):
         self.encode = encode
 
     def __missing__(self, weight):
-        if not isinstance(weight, (int, float)):
-            raise TypeError(f"weight must be a number, got {weight!r}")
         text = self[weight] = self.encode(canonical_number(weight))
         return text
 
@@ -179,6 +192,13 @@ def emit_graph(graph: dict) -> str:
     keys = encode(dict.fromkeys(nodes, 0))[1:-2].split("0,\n  ")
     key = _KeyTexts(encode, ((n, k) for n, k in zip(nodes, keys) if type(n) is str)).__getitem__
     number = _NumberTexts(encode).__getitem__
+    if _plain_graph is None or not _plain_graph(graph):
+        # Before any lookup, or an equal weight already in the number table
+        # would stand in for a Fraction or a Decimal.
+        for neighbors in graph.values():
+            for weight in neighbors.values():
+                if not isinstance(weight, (int, float)):
+                    raise TypeError(f"weight must be a number, got {weight!r}")
     lines = []
     for text, node in zip(keys, nodes):
         neighbors = graph[node]
@@ -194,6 +214,8 @@ def emit_graph(graph: dict) -> str:
 
 def validate(graph: dict) -> list:
     """All invariant violations, one entry per problem; empty means valid."""
+    if _plain_graph is not None and _plain_graph(graph):
+        return []
     violations = []
     if not isinstance(graph, dict):
         return [f"graph must be a dict, got {type(graph).__name__}"]

@@ -148,6 +148,7 @@ class ExtendedWeight:
     __radd__ = __add__
 
 
+# graphs takes its check of plain graphs from this one load too.
 _absinf, NATIVE_FAILURE = _native.load()
 SENTINEL_COMPARISONS = "python" if _absinf is None else "c"
 _INFINITY_BASES = (ExtendedWeight,) if _absinf is None else (_absinf.AbsInf, ExtendedWeight)

@@ -1,6 +1,7 @@
 """Graph model, JSON format, validation, and the bundled fixtures."""
 
 import enum
+import functools
 import json
 import math
 import re
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cross_check
 from conftest import small_graphs
+from extinf import graphs
 from extinf.fixtures import (
     CATEGORY_FIXTURES,
     FIXTURE_NAMES,
@@ -31,9 +34,33 @@ from extinf.graphs import (
     parse_graph,
     validate,
 )
-from extinf.weights import canonical_number
+from extinf.generators import KINDS, GeneratorSpec, generate
+from extinf.weights import SENTINEL_COMPARISONS, canonical_number
 
 
+def _also_looking_closer(cls):
+    """cls with every test run twice: with the C check of plain graphs as
+    loaded, then with it answering "look closer" to every graph, so the
+    Python loops word every problem in-process too.  Test ids stay as they
+    are, and a Hypothesis test runs both ways on each example."""
+
+    def twice(test):
+        @functools.wraps(test)
+        def run(*args, **kwargs):
+            test(*args, **kwargs)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graphs, "_plain_graph", lambda graph: False)
+                test(*args, **kwargs)
+
+        return run
+
+    for name, test in list(vars(cls).items()):
+        if name.startswith("test_"):
+            setattr(cls, name, twice(test))
+    return cls
+
+
+@_also_looking_closer
 class TestParse:
     def test_linear_chain_document(self):
         text = '{"A":{"B":2},"B":{"C":3},"C":{"D":1},"D":{}}'
@@ -82,6 +109,7 @@ class TestParse:
             parse_graph('{"A":{"B":2},"B":{}}')
 
 
+@_also_looking_closer
 class TestEmit:
     def test_empty(self):
         assert parse_graph(emit_graph({})) == {}
@@ -99,6 +127,13 @@ class TestEmit:
     def test_weight_that_json_would_rewrite_raises_type_error(self, weight):
         with pytest.raises(TypeError, match=re.escape(f"got {weight!r}")):
             emit_graph({"A": {"B": weight}, "B": {}})
+
+    @pytest.mark.parametrize(
+        "weights", [(2, Fraction(2)), (Fraction(2), 2)], ids=["number first", "Fraction first"]
+    )
+    def test_non_number_equal_to_another_weight_raises_type_error(self, weights):
+        with pytest.raises(TypeError, match=re.escape("got Fraction(2, 1)")):
+            emit_graph({"A": dict(zip("BC", weights)), "B": {}, "C": {}})
 
     def test_non_dict_adjacency_raises(self):
         with pytest.raises(AttributeError):
@@ -191,6 +226,7 @@ class TestEmitMatchesIndentEncoder:
         assert emit_graph(graph) == _indent_reference(graph)
 
 
+@_also_looking_closer
 class TestValidate:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixtures_are_valid(self, name):
@@ -299,6 +335,7 @@ def _check_against_reference(weights):
     _assert_parse_matches(text, list(json.loads(text)["A"].values()))
 
 
+@_also_looking_closer
 class TestWeightChecks:
     """parse_graph and validate accept a plain weight inline and hand every
     other weight to _check_weight; both must agree with _check_weight alone."""
@@ -342,6 +379,7 @@ def _json_ish_texts(draw):
     return text[:start] + draw(st.text(max_size=3)) + text[end:]
 
 
+@_also_looking_closer
 class TestParseFuzzed:
     """Any text yields a valid graph or GraphParseError, nothing else."""
 
@@ -386,6 +424,7 @@ def _first_repeat(keys):
     return next((k for i, k in enumerate(keys) if k in keys[:i]), None)
 
 
+@_also_looking_closer
 class TestDuplicateKeys:
     def test_dropped_edge_is_reported(self):
         with pytest.raises(GraphParseError, match="^node 'A' appears more than once$"):
@@ -469,3 +508,118 @@ class TestFixtures:
 def test_count_edges():
     assert count_edges(fixture("Dense_Graph_1")) == 12
     assert count_edges({}) == 0
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+_plain_ids = st.sampled_from("ABC")
+_any_ids = st.one_of(_plain_ids, _plain_ids.map(_Str), st.integers(0, 2))
+# Closed or not, with plain ids and weights: the graphs the C check passes.
+_plain_graphs = st.dictionaries(
+    _plain_ids,
+    st.dictionaries(st.sampled_from("ABCD"), st.integers(0, 9) | st.floats(0, 9), max_size=3),
+    max_size=3,
+)
+_any_graphs = st.one_of(
+    _plain_graphs,
+    st.dictionaries(
+        _any_ids,
+        st.one_of(
+            st.dictionaries(_any_ids, st.integers(0, 9) | _weights, max_size=3),
+            st.dictionaries(_plain_ids, st.integers(0, 9), max_size=3).map(_Dict),
+            st.lists(st.integers(0, 9), max_size=2),
+        ),
+        max_size=3,
+    ),
+    _plain_graphs.map(_Dict),
+    st.lists(st.tuples(_plain_ids, st.just({})), max_size=2),
+)
+
+
+def _members_text(members):
+    """The JSON text of a graph written member by member, duplicates kept."""
+
+    def obj(pairs, value_text):
+        return "{" + ", ".join(f"{json.dumps(k)}: {value_text(v)}" for k, v in pairs) + "}"
+
+    return obj(members, lambda adjacency: obj(adjacency, str))
+
+
+_graph_texts = st.one_of(
+    _plain_graphs.map(json.dumps),
+    _member_lists.map(_members_text),
+    _any_graphs.map(json.dumps),
+    _json_ish_texts(),
+)
+
+
+def _outcome(function, argument):
+    """What function(argument) returned or raised, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("returned", function(argument))
+        except Exception as exc:  # noqa: BLE001 - any exception is an outcome
+            result = ("raised", type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _outcomes_on_and_off(functions, argument):
+    on = [_outcome(function, argument) for function in functions]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_plain_graph", None)  # as without the extension
+        off = [_outcome(function, argument) for function in functions]
+    return on, off
+
+
+def _loop_ran(*args):
+    """Stands in for a builtin that only graphs' Python loops call."""
+    raise AssertionError("a Python loop ran")
+
+
+class TestPlainCheck:
+    """The C check of plain graphs changes no answer, and plain graphs take it."""
+
+    @given(_any_graphs)
+    @settings(max_examples=300)
+    def test_validate_and_emit_agree_with_the_check_off(self, graph):
+        on, off = _outcomes_on_and_off((validate, emit_graph), graph)
+        assert on == off
+
+    @given(_graph_texts)
+    @settings(max_examples=300)
+    def test_parse_agrees_with_the_check_off(self, text):
+        on, off = _outcomes_on_and_off((parse_graph,), text)
+        assert on == off
+
+    def test_cross_check_table_catches_a_wrong_answer(self, monkeypatch):
+        assert cross_check.plain_graph_problems()[0] == []
+        monkeypatch.setattr(graphs, "_plain_graph", lambda graph: True)
+        problems, answers = cross_check.plain_graph_problems()
+        assert set(answers.values()) == {True}
+        assert "validate(missing target) changed with the C check on" in problems
+        assert "plain_graph(IntEnum weight) said True, the loop found []" in problems
+
+    @pytest.mark.skipif(SENTINEL_COMPARISONS != "c", reason="the C extension is not loaded")
+    def test_bundled_generated_and_emitted_graphs_take_it(self, monkeypatch):
+        # A silent miss would put the loops back into every query.
+        benchmarked = {kind for kind, _ in cross_check.BENCHMARK_SIZES}
+        sizes = [(kind, 100) for kind in KINDS if kind not in benchmarked]
+        plain = [fixture(name) for name in FIXTURE_NAMES] + [
+            generate(GeneratorSpec(kind, node_count, seed=seed))
+            for kind, node_count in sizes + list(cross_check.BENCHMARK_SIZES)
+            for seed in (0, 4242)
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "isinstance", _loop_ran, raising=False)
+            texts = [emit_graph(graph) for graph in plain]
+            assert [validate(graph) for graph in plain] == [[]] * len(plain)
+        # A dropped key or a dangling target is looked for in a set.
+        monkeypatch.setattr(graphs, "set", _loop_ran, raising=False)
+        assert [parse_graph(text) for text in texts] == plain

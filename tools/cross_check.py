@@ -22,6 +22,11 @@ It puts this checkout's ``src/`` on the import path and checks:
    ``==`` answer False; and ``hash(INFINITY) == hash(math.inf)``.  Run on whichever comparisons the
    import loaded, C or Python, which the summary names, with the reason the
    C ones did not load, if they did not.
+6. For each graph of ``PLAIN_GRAPHS``, the C check of plain graphs says True
+   exactly when every type in the graph is exact and ``validate``'s Python
+   loop finds nothing, and ``validate`` gives the loop's answer with the
+   check on.  The summary reports the check's answer per graph, null where
+   the extension did not load.
 
 ``MESSAGES`` and the two digest pins live here only; ``tests/`` reads them
 from this module and checks the same things under pytest.  Each failed check
@@ -29,6 +34,7 @@ prints one line, and the last line of output is a JSON summary; the exit
 status is 0 only when every check passed.
 """
 
+import enum
 import hashlib
 import json
 import math
@@ -44,7 +50,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from extinf.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
 from extinf.generators import KINDS, GeneratorSpec, generate  # noqa: E402
-from extinf.graphs import emit_graph  # noqa: E402
+from extinf import graphs  # noqa: E402
+from extinf.graphs import emit_graph, validate  # noqa: E402
 from extinf.shortest_path import DOMAINS, WeightDomain, bellman_ford, dijkstra  # noqa: E402
 from extinf.weights import (  # noqa: E402
     INFINITY,
@@ -110,6 +117,71 @@ COMPARISONS = (
     (">=", operator.ge),
 )
 
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def _edge(weight, node="A", target="B", adjacency=dict):
+    """node with one edge of weight to target, and "B" as a node."""
+    return {node: adjacency({target: weight}), "B": {}}
+
+
+# (label, graph, whether every type in it is exact) for the C check of plain
+# graphs: the weights on either side of each bound, then every way a graph
+# can leave the exact types or the rules.
+PLAIN_GRAPHS = (
+    ("2**1024-2**970-1", _edge(_ROUNDS_TO_INF - 1), True),
+    ("2**1024-2**970", _edge(_ROUNDS_TO_INF), True),
+    ("10**400", _edge(10**400), True),
+    ("-10**400", _edge(-(10**400)), True),
+    ("0", _edge(0), True),
+    ("-1", _edge(-1), True),
+    ("0.0", _edge(0.0), True),
+    ("-0.0", _edge(-0.0), True),
+    ("5e-324", _edge(5e-324), True),
+    ("max float", _edge(_MAX), True),
+    ("nan", _edge(math.nan), True),
+    ("inf", _edge(math.inf), True),
+    ("-inf", _edge(-math.inf), True),
+    ("True", _edge(True), False),
+    ("IntEnum weight", _edge(_Level.ONE), False),
+    ("float subclass weight", _edge(_Float(2.0)), False),
+    ("Fraction weight", _edge(Fraction(2)), False),
+    ("str subclass id", _edge(1, node=_Str("A")), False),
+    ("str subclass target", _edge(1, target=_Str("B")), False),
+    ("dict subclass adjacency", _edge(1, adjacency=_Dict), False),
+    ("non-dict adjacency", {"A": [("B", 1)], "B": {}}, False),
+    ("non-str target", _edge(1, target=1), True),
+    ("missing target", _edge(1, target="C"), True),
+    ("non-dict graph", [("A", {})], False),
+    ("empty graph", {}, True),
+    ("no edges", {"A": {}}, True),
+)
+
+# (kind, node count) of the benchmark's generated graphs, and the largest grid.
+BENCHMARK_SIZES = (
+    ("dense", 100),
+    ("equal_weights", 200),
+    ("grid", 400),
+    ("sparse_tree", 400),
+    ("real_world_like", 400),
+    ("disconnected", 400),
+    ("grid", 1600),
+)
+
 GOLDEN_DIGEST = "c3c7ff7f06d032bb4deba166cdb4cb3016bbecc89d149fdf6cbeff490db2d8f9"
 BENCHMARK_SIZED_DIGEST = "9d717b1a8e408f0136c78495d85294da1903405d91394a087d08c565927bad12"
 
@@ -139,15 +211,7 @@ def benchmark_sized_digest():
     """sha256 of the benchmark's generated kinds and sizes, and of the largest
     grid, at three seeds each."""
     digest = hashlib.sha256()
-    for kind, node_count in (
-        ("dense", 100),
-        ("equal_weights", 200),
-        ("grid", 400),
-        ("sparse_tree", 400),
-        ("real_world_like", 400),
-        ("disconnected", 400),
-        ("grid", 1600),
-    ):
+    for kind, node_count in BENCHMARK_SIZES:
         for seed in (0, 12345, 2**64 - 1):
             spec = GeneratorSpec(kind, node_count, seed=seed)
             digest.update(emit_graph(generate(spec)).encode())
@@ -253,6 +317,25 @@ def operator_problems():
     return problems
 
 
+def plain_graph_problems():
+    """The problems of the C check of plain graphs, and its answer per graph
+    (None without the extension)."""
+    check = graphs._plain_graph
+    answers, problems = {}, []
+    for label, graph, exact in PLAIN_GRAPHS:
+        graphs._plain_graph = None  # validate's Python loop alone
+        try:
+            loop = validate(graph)
+        finally:
+            graphs._plain_graph = check
+        if validate(graph) != loop:
+            problems.append(f"validate({label}) changed with the C check on")
+        answer = answers[label] = None if check is None else check(graph)
+        if answer is not None and answer is not (exact and not loop):
+            problems.append(f"plain_graph({label}) said {answer!r}, the loop found {loop!r}")
+    return problems, answers
+
+
 def digest_problems():
     problems = []
     for name, digest, pinned in (
@@ -278,6 +361,8 @@ def main():
             problems += search_problems(f"{kind} seed {seed}", graph, [min(graph)])
             checked += 1
     problems += message_problems() + domain_problems() + digest_problems() + operator_problems()
+    plain_problems, plain_answers = plain_graph_problems()
+    problems += plain_problems
     for problem in problems:
         print(problem)
     print(
@@ -288,6 +373,7 @@ def main():
                 "problems": len(problems),
                 "sentinel_comparisons": SENTINEL_COMPARISONS,
                 "native_failure": NATIVE_FAILURE,
+                "plain_graphs": plain_answers,
             }
         )
     )
