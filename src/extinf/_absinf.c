@@ -20,6 +20,10 @@
    problem.  It takes exact types only (dict, str, int, float), so no Python
    code runs inside it and the graph cannot change under it.
 
+   image() is the one place this file computes a binary64 image: the
+   comparisons and plain_graph's weight test both read it.  A finite
+   weight's comparisons and every sum live in weights.py.
+
    Built and loaded by _native.py; stdlib CPython >= 3.10 API only. */
 
 #define PY_SSIZE_T_CLEAN
@@ -32,8 +36,9 @@ static Py_hash_t inf_hash;      /* hash(math.inf) */
 static PyObject *absinf_richcompare(PyObject *self, PyObject *other, int op);
 
 /* other's binary64 image in *out: 1 if other is an int, a float (exact
-   types only when exact is set) or INFINITY, 0 if not, -1 on error. */
-static int
+   types only when exact is set) or INFINITY, 0 if not, -1 on error.  Inline,
+   so that a comparison in the search's loop makes no call for it. */
+static inline int
 image(PyObject *other, int exact, double *out)
 {
     if (exact ? PyFloat_CheckExact(other) : PyFloat_Check(other)) {
@@ -88,26 +93,15 @@ absinf_hash(PyObject *self)
     return inf_hash;
 }
 
-/* 1 if weight is an exact int in [0, 2**1024 - 2**970) or an exact float in
-   [0.0, inf), 0 if not, -1 on error.  PyLong_AsDouble overflows from exactly
-   2**1024 - 2**970 up, the ints whose binary64 image is +-inf. */
+/* 1 if weight is an exact int or float whose image is in [0.0, inf), 0 if
+   not (INFINITY included), -1 on error. */
 static int
 plain_weight(PyObject *weight)
 {
     double value;
-    if (PyFloat_CheckExact(weight))
-        value = PyFloat_AS_DOUBLE(weight);
-    else if (PyLong_CheckExact(weight)) {
-        value = PyLong_AsDouble(weight);
-        if (value == -1.0 && PyErr_Occurred()) {
-            if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                return -1;
-            PyErr_Clear();
-            return 0;
-        }
-    }
-    else
-        return 0;
+    int found = image(weight, 1, &value);
+    if (found <= 0)
+        return found;
     return value >= 0.0 && value < Py_HUGE_VAL; /* false for NaN */
 }
 

@@ -22,7 +22,7 @@ comparisons (``_absinf.c``) checks a plain graph in one pass:
 ``_plain_graph(graph)`` is True only when ``validate(graph)`` would find
 nothing, and then ``validate``, ``parse_graph`` and ``emit_graph`` skip their
 loops.  False means "look closer": the loops run and word every problem.
-Without the extension ``_plain_graph`` is None and the loops always run.
+Without the extension ``_plain_graph`` always says False and the loops run.
 """
 
 import itertools
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-_plain_graph = None if _absinf is None else _absinf.plain_graph
+_plain_graph = (lambda graph: False) if _absinf is None else _absinf.plain_graph
 
 
 class GraphParseError(ValueError):
@@ -97,7 +97,7 @@ def parse_graph(text: str) -> dict:
     # JSONDecodeError, an int literal past int_max_str_digits, or nesting too deep
     except (ValueError, RecursionError) as exc:
         raise GraphParseError(f"malformed JSON: {exc}") from None
-    plain = _plain_graph is not None and _plain_graph(doc)
+    plain = _plain_graph(doc)
     if not plain:
         if not isinstance(doc, dict):
             raise GraphParseError(
@@ -192,7 +192,7 @@ def emit_graph(graph: dict) -> str:
     keys = encode(dict.fromkeys(nodes, 0))[1:-2].split("0,\n  ")
     key = _KeyTexts(encode, ((n, k) for n, k in zip(nodes, keys) if type(n) is str)).__getitem__
     number = _NumberTexts(encode).__getitem__
-    if _plain_graph is None or not _plain_graph(graph):
+    if not _plain_graph(graph):
         # Before any lookup, or an equal weight already in the number table
         # would stand in for a Fraction or a Decimal.
         for neighbors in graph.values():
@@ -214,7 +214,7 @@ def emit_graph(graph: dict) -> str:
 
 def validate(graph: dict) -> list:
     """All invariant violations, one entry per problem; empty means valid."""
-    if _plain_graph is not None and _plain_graph(graph):
+    if _plain_graph(graph):
         return []
     violations = []
     if not isinstance(graph, dict):

@@ -4,10 +4,11 @@ The sentinel ``INFINITY`` compares greater than every finite cost and absorbs
 addition, which is everything a shortest-path search asks of its "unreached"
 marker.  Finite costs are ordinary binary64 values, so the sentinel differs
 from IEEE +inf only in representation, never in the answers a search computes.
-The ordering is written once, as IEEE arithmetic on binary64 images: every
-comparison compares the operands' ``to_binary64`` images, and ``add`` maps
-the images' sum back through ``from_binary64``, so a finite sum that
-overflows saturates to the sentinel.
+The order and the sum are each written once, as IEEE arithmetic on binary64
+images in the operators: ``ExtendedWeight``'s, and for the sentinel its C
+base in ``_absinf.c`` (or the fallback on ``_Infinity``); a finite sum that
+overflows saturates to the sentinel.  ``compare`` and ``add`` are those
+operators behind a type check.
 
 ExtendedWeight instances also compare with and add to plain numbers, so the
 sentinel can sit in a distance table next to raw floats.  A search compares
@@ -216,15 +217,14 @@ def compare(a: ExtendedWeight, b: ExtendedWeight) -> Ordering:
     """Total order: the sentinel dominates every finite weight and equals itself."""
     if not isinstance(a, ExtendedWeight) or not isinstance(b, ExtendedWeight):
         raise TypeError("compare expects two ExtendedWeight values")
-    x, y = a._value, b._value
-    return Ordering((x > y) - (x < y))
+    return Ordering((a > b) - (a < b))
 
 
 def add(a: ExtendedWeight, b: ExtendedWeight) -> ExtendedWeight:
     """Sum of two weights; the sentinel absorbs, finite overflow saturates to it."""
     if not isinstance(a, ExtendedWeight) or not isinstance(b, ExtendedWeight):
         raise TypeError("add expects two ExtendedWeight values")
-    return from_binary64(a._value + b._value)
+    return a + b
 
 
 def to_binary64(a: ExtendedWeight) -> float:

@@ -229,24 +229,33 @@ def _interpreters():
     return found
 
 
-def test_every_interpreter_passes_cross_check():
+def test_every_interpreter_passes_cross_check(tmp_path):
     # The search's results, the weight messages, the generated bytes and
     # INFINITY's operators must not depend on the interpreter; the gate needs
     # no pytest.  Each interpreter builds and checks its own C comparisons
-    # when this one could build them.
-    failed, comparisons = {}, {}
+    # when this one could build them, then checks the Python ones with its
+    # cache inside a regular file, where no build can go.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    unwritable = ["-X", f"pycache_prefix={blocker / 'cache'}"]
+    failed, comparisons = {}, {"built": {}, "fallback": {}}
     for version, python in _interpreters().items():
-        result = subprocess.run(
-            [python, "-I", cross_check.__file__], capture_output=True, text=True, timeout=600
-        )
-        if result.returncode != 0:
-            failed[version] = result.stdout + result.stderr
-        else:
-            summary = json.loads(result.stdout.splitlines()[-1])
-            comparisons[version] = (summary["sentinel_comparisons"], summary["native_failure"])
+        for path, flags in (("built", []), ("fallback", unwritable)):
+            result = subprocess.run(
+                [python, "-I", *flags, cross_check.__file__],
+                capture_output=True,
+                text=True,
+                timeout=600,
+            )
+            if result.returncode != 0:
+                failed[version, path] = result.stdout + result.stderr
+            else:
+                summary = json.loads(result.stdout.splitlines()[-1])
+                comparisons[path][version] = summary["sentinel_comparisons"]
     assert failed == {}
+    assert set(comparisons["fallback"].values()) == {"python"}, comparisons
     if SENTINEL_COMPARISONS == "c":
-        assert {c for c, _ in comparisons.values()} == {"c"}, comparisons
+        assert set(comparisons["built"].values()) == {"c"}, comparisons
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -213,9 +213,11 @@ print(loaded())""",
 def test_importing_the_package_loads(code, expected):
     # -S keeps site .pth hooks from importing modules before the package does.
     src = str(pathlib.Path(extinf.__file__).resolve().parents[1])
+    # The child looks for the extension in this process's cache, as predicted.
+    prefix = ["-X", f"pycache_prefix={sys.pycache_prefix}"] if sys.pycache_prefix else []
+    code = "import sys; sys.path.insert(0, sys.argv[1])\n" + code
     result = subprocess.run(
-        [sys.executable, "-S", "-c", "import sys; sys.path.insert(0, sys.argv[1])\n" + code]
-        + [src, _REEXPORTED],
+        [sys.executable, "-S", *prefix, "-c", code, src, _REEXPORTED],
         capture_output=True,
         text=True,
         check=True,

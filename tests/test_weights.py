@@ -122,6 +122,16 @@ class TestAdd:
         assert to_binary64(add(finite(x), finite(y))) == x + y
 
 
+def test_cross_check_weight_table_catches_a_wrong_answer(monkeypatch):
+    assert cross_check.weight_function_problems() == []
+    monkeypatch.setattr(cross_check, "compare", lambda a, b: Ordering.EQUAL)
+    monkeypatch.setattr(cross_check, "add", lambda a, b: finite(0))
+    problems = cross_check.weight_function_problems()
+    assert "compare(INFINITY, finite(0)) gave Ordering.EQUAL" in problems
+    assert "add(finite(max float), finite(max float)) gave ExtendedWeight(0)" in problems
+    assert "add(finite(0), finite(0)) gave ExtendedWeight(0)" not in problems
+
+
 class TestBinary64:
     def test_infinity_bit_pattern(self):
         bits = struct.unpack(">Q", struct.pack(">d", to_binary64(INFINITY)))[0]

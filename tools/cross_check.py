@@ -25,8 +25,12 @@ It puts this checkout's ``src/`` on the import path and checks:
 6. For each graph of ``PLAIN_GRAPHS``, the C check of plain graphs says True
    exactly when every type in the graph is exact and ``validate``'s Python
    loop finds nothing, and ``validate`` gives the loop's answer with the
-   check on.  The summary reports the check's answer per graph, null where
-   the extension did not load.
+   check on.  Without the extension the check says False to every graph.
+   The summary reports the check's answer per graph, null where the
+   extension did not load.
+7. ``compare`` and ``add`` over every pair of the weights in ``OPERANDS``
+   give the IEEE order and sum of their binary64 images, a sum of +inf
+   being ``INFINITY`` itself.
 
 ``MESSAGES`` and the two digest pins live here only; ``tests/`` reads them
 from this module and checks the same things under pytest.  Each failed check
@@ -36,6 +40,7 @@ status is 0 only when every check passed.
 
 import enum
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -58,6 +63,9 @@ from extinf.weights import (  # noqa: E402
     NATIVE_FAILURE,
     SENTINEL_COMPARISONS,
     ExtendedWeight,
+    Ordering,
+    add,
+    compare,
     finite,
     to_binary64,
 )
@@ -156,6 +164,7 @@ PLAIN_GRAPHS = (
     ("nan", _edge(math.nan), True),
     ("inf", _edge(math.inf), True),
     ("-inf", _edge(-math.inf), True),
+    ("INFINITY", _edge(INFINITY), False),
     ("True", _edge(True), False),
     ("IntEnum weight", _edge(_Level.ONE), False),
     ("float subclass weight", _edge(_Float(2.0)), False),
@@ -317,21 +326,44 @@ def operator_problems():
     return problems
 
 
+def weight_function_problems():
+    """``compare`` and ``add`` over every pair of the weights in OPERANDS,
+    against the IEEE order and sum of their binary64 images."""
+    problems = []
+    weights = [(label, w) for label, w in OPERANDS if isinstance(w, ExtendedWeight)]
+    for (a_label, a), (b_label, b) in itertools.product(weights, repeat=2):
+        x, y = to_binary64(a), to_binary64(b)
+        order = compare(a, b)
+        if order is not Ordering((x > y) - (x < y)):
+            problems.append(f"compare({a_label}, {b_label}) gave {order}")
+        total, image = add(a, b), x + y  # finite(max float) twice overflows to +inf
+        if image == math.inf:
+            good = total is INFINITY
+        else:
+            good = type(total) is ExtendedWeight and to_binary64(total) == image
+        if not good:
+            problems.append(f"add({a_label}, {b_label}) gave {total!r}")
+    return problems
+
+
 def plain_graph_problems():
     """The problems of the C check of plain graphs, and its answer per graph
-    (None without the extension)."""
+    (None without the extension, whose stand-in says False to every graph)."""
     check = graphs._plain_graph
+    native = SENTINEL_COMPARISONS == "c"
     answers, problems = {}, []
     for label, graph, exact in PLAIN_GRAPHS:
-        graphs._plain_graph = None  # validate's Python loop alone
+        graphs._plain_graph = lambda graph: False  # validate's Python loop alone
         try:
             loop = validate(graph)
         finally:
             graphs._plain_graph = check
         if validate(graph) != loop:
             problems.append(f"validate({label}) changed with the C check on")
-        answer = answers[label] = None if check is None else check(graph)
-        if answer is not None and answer is not (exact and not loop):
+        answer = check(graph)
+        answers[label] = answer if native else None
+        # Without the extension False, "look closer", is right for every graph.
+        if answer is not (exact and not loop) and (native or answer is not False):
             problems.append(f"plain_graph({label}) said {answer!r}, the loop found {loop!r}")
     return problems, answers
 
@@ -361,6 +393,7 @@ def main():
             problems += search_problems(f"{kind} seed {seed}", graph, [min(graph)])
             checked += 1
     problems += message_problems() + domain_problems() + digest_problems() + operator_problems()
+    problems += weight_function_problems()
     plain_problems, plain_answers = plain_graph_problems()
     problems += plain_problems
     for problem in problems:
