@@ -1,5 +1,6 @@
-/* The comparisons and hash of extinf's INFINITY, and a check of plain
-   graphs, answered in C.
+/* The comparisons and hash of extinf's INFINITY, the conversion of a
+   search's distance map to weights, and two checks of plain graphs, answered
+   in C.
 
    weights._Infinity lists AbsInf as its first base, so CPython installs
    these slots on it directly: comparing with INFINITY makes no Python-level
@@ -15,23 +16,40 @@
    take subclasses of int and float by image, and leave the rest to the
    other operand.
 
+   from_search(finite_type, infinity_weight, distances, infinity) is the
+   fast path of weights._from_search, whose Python loop holds the rules: a
+   value that is infinity itself becomes infinity_weight, and an exact int
+   or float whose image is in [0.0, inf) becomes a finite_type instance
+   allocated as object.__new__ does, its _value slot filled with the image
+   (-0.0 folded to +0.0).  Any other value, or a key that is not an exact
+   str, makes it return False with the map untouched, and the Python loop
+   converts the map and words the error.
+
    plain_graph(graph) is True only when graphs.validate(graph) would find
-   nothing; False means "look closer", and the Python loop words every
-   problem.  It takes exact types only (dict, str, int, float), so no Python
-   code runs inside it and the graph cannot change under it.
+   nothing, and plain_weights(graph) only when emit_graph's weight loop
+   would find nothing; False means "look closer", and the Python loop words
+   every problem.  Like from_search, both take exact types only (dict, str,
+   int, float), so no Python code runs inside them and nothing can change
+   under them.
 
    image() is the one place this file computes a binary64 image: the
-   comparisons and plain_graph's weight test both read it.  A finite
-   weight's comparisons and every sum live in weights.py.
+   comparisons, from_search and plain_graph's weight test all read it.  A
+   finite weight's comparisons and every sum live in weights.py.
 
    Built and loaded by _native.py; stdlib CPython >= 3.10 API only. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#ifndef Py_T_OBJECT_EX /* CPython < 3.12 */
+#include <structmember.h>
+#define Py_T_OBJECT_EX T_OBJECT_EX
+#endif
 
 static PyObject *neg_inf;       /* threshold of < and >= */
 static PyObject *rounds_to_inf; /* threshold of <= and > */
 static Py_hash_t inf_hash;      /* hash(math.inf) */
+static PyTypeObject *finite_type; /* from_search's last finite_type, held */
+static Py_ssize_t value_offset;   /* where its _value slot lives */
 
 static PyObject *absinf_richcompare(PyObject *self, PyObject *other, int op);
 
@@ -136,11 +154,144 @@ plain_graph(PyObject *module, PyObject *graph)
     Py_RETURN_TRUE;
 }
 
+/* True if every adjacency of graph is an exact dict and each of its weights
+   an exact int or float, whatever its value: emit_graph's loop then finds
+   nothing.  False otherwise. */
+static PyObject *
+plain_weights(PyObject *module, PyObject *graph)
+{
+    PyObject *node, *neighbors, *target, *weight;
+    Py_ssize_t i = 0, j;
+    if (!PyDict_CheckExact(graph))
+        Py_RETURN_FALSE;
+    while (PyDict_Next(graph, &i, &node, &neighbors)) {
+        if (!PyDict_CheckExact(neighbors))
+            Py_RETURN_FALSE;
+        for (j = 0; PyDict_Next(neighbors, &j, &target, &weight);) {
+            if (!PyLong_CheckExact(weight) && !PyFloat_CheckExact(weight))
+                Py_RETURN_FALSE;
+        }
+    }
+    Py_RETURN_TRUE;
+}
+
+/* Read the offset of type's own _value slot into value_offset, once per
+   type: 0, or -1 with TypeError if type has no such slot. */
+static int
+bind_finite_type(PyObject *type)
+{
+    if (type == (PyObject *)finite_type)
+        return 0;
+    if (!PyType_Check(type)) {
+        PyErr_Format(PyExc_TypeError, "finite_type must be a type, got %.200s",
+                     Py_TYPE(type)->tp_name);
+        return -1;
+    }
+    PyObject *slot = PyObject_GetAttrString(type, "_value");
+    if (slot == NULL) {
+        if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+            return -1;
+        PyErr_Clear();
+    }
+    int found = slot != NULL && Py_IS_TYPE(slot, &PyMemberDescr_Type)
+        && ((PyDescrObject *)slot)->d_type == (PyTypeObject *)type
+        && ((PyMemberDescrObject *)slot)->d_member->type == Py_T_OBJECT_EX;
+    Py_ssize_t offset = found ? ((PyMemberDescrObject *)slot)->d_member->offset : 0;
+    Py_XDECREF(slot);
+    if (!found) {
+        PyErr_Format(PyExc_TypeError, "%.200s has no _value slot of its own",
+                     ((PyTypeObject *)type)->tp_name);
+        return -1;
+    }
+    Py_INCREF(type);
+    Py_XSETREF(finite_type, (PyTypeObject *)type);
+    value_offset = offset;
+    return 0;
+}
+
+/* The finite weight of value, which plain_weight passed: a new reference. */
+static PyObject *
+finite_weight(PyObject *value)
+{
+    double image_of_value = 0.0; /* image() sets it: value passed plain_weight */
+    PyObject *payload;
+    if (PyFloat_CheckExact(value) && PyFloat_AS_DOUBLE(value) != 0.0) {
+        payload = Py_NewRef(value);
+    }
+    else {
+        if (image(value, 1, &image_of_value) < 0)
+            return NULL;
+        /* 0.0 for both zeros: -0.0 folds into +0.0, as __init__ does */
+        payload = PyFloat_FromDouble(image_of_value == 0.0 ? 0.0 : image_of_value);
+        if (payload == NULL)
+            return NULL;
+    }
+    PyObject *weight = finite_type->tp_alloc(finite_type, 0);
+    if (weight == NULL) {
+        Py_DECREF(payload);
+        return NULL;
+    }
+    *(PyObject **)((char *)weight + value_offset) = payload;
+    return weight;
+}
+
+/* True after converting every value of distances in place, False with
+   distances untouched when a key or value needs the Python loop. */
+static PyObject *
+from_search(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError,
+                     "from_search expects 4 arguments, got %zd", nargs);
+        return NULL;
+    }
+    PyObject *infinity_weight = args[1], *distances = args[2], *infinity = args[3];
+    PyObject *node, *value;
+    Py_ssize_t i = 0;
+    if (bind_finite_type(args[0]) < 0)
+        return NULL;
+    if (!PyDict_CheckExact(distances))
+        Py_RETURN_FALSE;
+    while (PyDict_Next(distances, &i, &node, &value)) {
+        if (!PyUnicode_CheckExact(node))
+            Py_RETURN_FALSE;
+        if (value != infinity) {
+            int plain = plain_weight(value);
+            if (plain < 0)
+                return NULL;
+            if (!plain)
+                Py_RETURN_FALSE;
+        }
+    }
+    /* Replacing the value of a present key keeps the key set, so the
+       iteration stays valid; the node is held because an allocation can run
+       the garbage collector. */
+    for (i = 0; PyDict_Next(distances, &i, &node, &value);) {
+        Py_INCREF(node);
+        PyObject *weight = value == infinity ? Py_NewRef(infinity_weight) : finite_weight(value);
+        int failed = weight == NULL || PyDict_SetItem(distances, node, weight) < 0;
+        Py_DECREF(node);
+        Py_XDECREF(weight);
+        if (failed)
+            return NULL;
+    }
+    Py_RETURN_TRUE;
+}
+
 static PyMethodDef absinf_functions[] = {
     {"plain_graph", plain_graph, METH_O,
      "plain_graph(graph) -> bool\n\nTrue only if graphs.validate(graph) would find nothing: exact\n"
      "dict, str, int and float types, every target a node, every weight\n"
      "finite and non-negative.  False means look closer."},
+    {"plain_weights", plain_weights, METH_O,
+     "plain_weights(graph) -> bool\n\nTrue only if graph and each adjacency are exact dicts and every\n"
+     "weight is an exact int or float.  False means look closer."},
+    {"from_search", (PyCFunction)(void (*)(void))from_search, METH_FASTCALL,
+     "from_search(finite_type, infinity_weight, distances, infinity) -> bool\n\n"
+     "Convert a search's fresh distance map in place and return True: infinity\n"
+     "itself becomes infinity_weight, an exact int or float in [0, inf) a\n"
+     "finite_type with that _value.  False, with distances untouched, means\n"
+     "look closer."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -156,7 +307,8 @@ static PyTypeObject AbsInf_Type = {
 
 static struct PyModuleDef absinf_module = {
     PyModuleDef_HEAD_INIT, "_absinf",
-    "The C comparisons of extinf's INFINITY, and a check of plain graphs.", -1, absinf_functions,
+    "The C comparisons of extinf's INFINITY, its search conversion and its graph checks.", -1,
+    absinf_functions,
 };
 
 PyMODINIT_FUNC

@@ -20,9 +20,12 @@ never reads or writes JSON, so ``json`` loads on first use.
 Before those per-edge loops run, the C extension that also holds INFINITY's
 comparisons (``_absinf.c``) checks a plain graph in one pass:
 ``_plain_graph(graph)`` is True only when ``validate(graph)`` would find
-nothing, and then ``validate``, ``parse_graph`` and ``emit_graph`` skip their
-loops.  False means "look closer": the loops run and word every problem.
-Without the extension ``_plain_graph`` always says False and the loops run.
+nothing, and then ``validate`` and ``parse_graph`` skip their loops.
+``emit_graph`` only needs every weight to be a number, so it asks the
+lighter ``_plain_weights(graph)``, which tests the weights' exact types and
+looks up no target.  False means "look closer": the loops run and word every
+problem.  Without the extension both checks always say False and the loops
+run.
 """
 
 import itertools
@@ -44,6 +47,7 @@ __all__ = [
 
 
 _plain_graph = (lambda graph: False) if _absinf is None else _absinf.plain_graph
+_plain_weights = (lambda graph: False) if _absinf is None else _absinf.plain_weights
 
 
 class GraphParseError(ValueError):
@@ -192,7 +196,7 @@ def emit_graph(graph: dict) -> str:
     keys = encode(dict.fromkeys(nodes, 0))[1:-2].split("0,\n  ")
     key = _KeyTexts(encode, ((n, k) for n, k in zip(nodes, keys) if type(n) is str)).__getitem__
     number = _NumberTexts(encode).__getitem__
-    if not _plain_graph(graph):
+    if not _plain_weights(graph):
         # Before any lookup, or an equal weight already in the number table
         # would stand in for a Fraction or a Decimal.
         for neighbors in graph.values():

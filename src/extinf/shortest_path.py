@@ -16,7 +16,14 @@ import math
 from collections import namedtuple
 
 from .graphs import InvalidGraphError, validate
-from .weights import INFINITY, _from_search, canonical_number, from_binary64, parse_weight
+from .weights import (
+    INFINITY,
+    _from_search,
+    _from_search_in_c,
+    canonical_number,
+    from_binary64,
+    parse_weight,
+)
 
 __all__ = [
     "DOMAINS",
@@ -136,14 +143,19 @@ def dijkstra(graph: dict, source: str, domain=SENTINEL) -> dict:
     a domain's infinity has the image +inf, so a node is unreached exactly
     when it still holds the domain's own infinity object.  The conversion
     tests that identity under either domain; every other value is a finite
-    binary64 cost, filled into a weight without a Python frame per node.  A
-    value outside the domain, which only an operand with its own ``+`` can
-    put there, goes through ExtendedWeight and raises as it would.
+    binary64 cost.  One C call converts the whole map when every value is
+    the infinity or an exact int or float in range; otherwise it leaves the
+    map as it was and ``_from_search``'s Python loop converts it.  A value
+    outside the domain, which only an operand with its own ``+`` can put
+    there, goes through ExtendedWeight in that loop and raises as it would.
     """
     domain = get_domain(domain)
     check_query(graph, source)
     infinity = domain.infinity
-    return _from_search(linear_scan_distances(graph, source, infinity), infinity)
+    distances = linear_scan_distances(graph, source, infinity)
+    if _from_search_in_c(distances, infinity):
+        return distances
+    return _from_search(distances, infinity)
 
 
 def bellman_ford(graph: dict, source: str) -> dict:

@@ -18,6 +18,10 @@ is not an int or a float answers through its own reflected method, and a
 non-number raises the ``TypeError`` that ``float`` or ``int`` gives.
 ``SENTINEL_COMPARISONS`` says which implementation is loaded, ``"c"`` or
 ``"python"``, and ``NATIVE_FAILURE`` why the C one is not, when it is not.
+
+The same extension turns a search's raw distance map into weights in one
+call (``_from_search_in_c``); ``_from_search``'s Python loop holds the rule,
+and is the fallback and the path that words an out-of-domain value's error.
 """
 
 import enum
@@ -250,7 +254,10 @@ def _from_search(distances: dict, infinity) -> dict:
     in ``[0, inf)`` passes every check of ``__init__``, so its weight is
     allocated and filled here without that call; any other value goes
     through ``ExtendedWeight``, which raises for one outside the domain.
-    The whole map costs one Python frame, not one per node.
+    This loop is the conversion's rule and its error path.  ``dijkstra``
+    first hands the map to ``_from_search_in_c``, which converts it the same
+    way in one C call (exact ints and floats in range, exact str nodes), or
+    says False and leaves it untouched, and then this loop runs.
     """
     new = object.__new__
     for node, value in distances.items():
@@ -263,6 +270,15 @@ def _from_search(distances: dict, infinity) -> dict:
         else:
             distances[node] = ExtendedWeight(value)
     return distances
+
+
+# (distances, infinity) -> True once the map is converted in place, False
+# ("look closer") with it untouched; without the extension always False.
+_from_search_in_c = (
+    (lambda distances, infinity: False)
+    if _absinf is None
+    else partial(_absinf.from_search, ExtendedWeight, INFINITY)
+)
 
 
 def canonical_number(x: float):

@@ -38,18 +38,26 @@ from extinf.generators import KINDS, GeneratorSpec, generate
 from extinf.weights import SENTINEL_COMPARISONS, canonical_number
 
 
+def _look_closer(patch):
+    """Make both C checks answer "look closer" to every graph, as they do
+    without the extension."""
+    patch.setattr(graphs, "_plain_graph", lambda graph: False)
+    patch.setattr(graphs, "_plain_weights", lambda graph: False)
+
+
 def _also_looking_closer(cls):
-    """cls with every test run twice: with the C check of plain graphs as
-    loaded, then with it answering "look closer" to every graph, so the
-    Python loops word every problem in-process too.  Test ids stay as they
-    are, and a Hypothesis test runs both ways on each example."""
+    """cls with every test run twice: with the C checks of plain graphs and
+    of weight types as loaded, then with them answering "look closer" to
+    every graph, so the Python loops word every problem in-process too.
+    Test ids stay as they are, and a Hypothesis test runs both ways on each
+    example."""
 
     def twice(test):
         @functools.wraps(test)
         def run(*args, **kwargs):
             test(*args, **kwargs)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(graphs, "_plain_graph", lambda graph: False)
+                _look_closer(patch)
                 test(*args, **kwargs)
 
         return run
@@ -573,7 +581,7 @@ def _outcome(function, argument):
 def _outcomes_on_and_off(functions, argument):
     on = [_outcome(function, argument) for function in functions]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graphs, "_plain_graph", lambda graph: False)  # as without the extension
+        _look_closer(patch)
         off = [_outcome(function, argument) for function in functions]
     return on, off
 
@@ -584,7 +592,8 @@ def _loop_ran(*args):
 
 
 class TestPlainCheck:
-    """The C check of plain graphs changes no answer, and plain graphs take it."""
+    """The C checks of plain graphs and of weight types change no answer,
+    and plain graphs take them."""
 
     @given(_any_graphs)
     @settings(max_examples=300)
@@ -607,10 +616,28 @@ class TestPlainCheck:
         assert "plain_graph(IntEnum weight) said True, the loop found []" in problems
 
     @pytest.mark.skipif(SENTINEL_COMPARISONS != "c", reason="the C extension is not loaded")
+    def test_emit_graph_needs_only_number_weights(self, monkeypatch):
+        # A dangling target fails validate, not emit_graph's loop.
+        monkeypatch.setattr(graphs, "isinstance", _loop_ran, raising=False)
+        text = emit_graph({"A": {"C": 1, "B": 0.5}, "B": {}})
+        assert text == '{\n  "A": {\n    "B": 0.5,\n    "C": 1\n  },\n  "B": {}\n}\n'
+
+    def test_cross_check_weights_table_catches_a_wrong_answer(self, monkeypatch):
+        assert cross_check.plain_weights_problems()[0] == []
+        monkeypatch.setattr(graphs, "_plain_weights", lambda graph: True)
+        problems, answers = cross_check.plain_weights_problems()
+        assert set(answers.values()) == ({True} if SENTINEL_COMPARISONS == "c" else {None})
+        # An equal entry in the number table would write a Fraction as "2".
+        assert "emit_graph(Fraction weight) changed with the C check on" in problems
+        assert "plain_weights(Fraction weight) said True, emit_graph's loop raised" in problems
+        assert not any(p.startswith("plain_weights(missing target)") for p in problems)
+
+    @pytest.mark.skipif(SENTINEL_COMPARISONS != "c", reason="the C extension is not loaded")
     def test_bundled_generated_and_emitted_graphs_take_it(self, monkeypatch):
         # A silent miss would put the loops back into every query, and a
         # Python wrapper around the check a frame.
         assert graphs._plain_graph is graphs._absinf.plain_graph
+        assert graphs._plain_weights is graphs._absinf.plain_weights
         benchmarked = {kind for kind, _ in cross_check.BENCHMARK_SIZES}
         sizes = [(kind, 100) for kind in KINDS if kind not in benchmarked]
         plain = [fixture(name) for name in FIXTURE_NAMES] + [

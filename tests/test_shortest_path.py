@@ -303,8 +303,8 @@ class _AddsTo(float):
 class TestConversion:
     @pytest.mark.parametrize("domain", [IEEE_BASELINE, SENTINEL])
     def test_finite_results_are_plain_weights_equal_to_the_oracle(self, domain):
-        # The last graph puts an int into the raw map, which takes the
-        # conversion's general path through ExtendedWeight(v).
+        # The last graph puts an int into the raw map: the C conversion takes
+        # its binary64 image, the Python loop goes through ExtendedWeight(v).
         cases = [(fixture(name), source) for name in FIXTURE_NAMES for source in fixture(name)]
         cases.append(({"A": {"B": _AddsTo(2)}, "B": {}, "C": {}}, "A"))
         for graph, source in cases:

@@ -8,6 +8,7 @@ import operator
 import pickle
 import struct
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,147 @@ def test_cross_check_weight_table_catches_a_wrong_answer(monkeypatch):
     assert "compare(INFINITY, finite(0)) gave Ordering.EQUAL" in problems
     assert "add(finite(max float), finite(max float)) gave ExtendedWeight(0)" in problems
     assert "add(finite(0), finite(0)) gave ExtendedWeight(0)" not in problems
+
+
+def _converts_in_one_pass(distances, infinity):
+    """A wrong C conversion: -0.0 kept, ints from 2**53 left to the loop,
+    and the map half converted when it gives up."""
+    for node, value in distances.items():
+        if value is infinity:
+            distances[node] = INFINITY
+        elif type(value) in (int, float) and 0 <= value < 2**53:
+            weight = object.__new__(ExtendedWeight)
+            weight._value = float(value)
+            distances[node] = weight
+        else:
+            return False
+    return True
+
+
+def test_cross_check_conversion_table_catches_a_wrong_answer(monkeypatch):
+    assert cross_check.from_search_problems()[0] == []
+    monkeypatch.setattr(cross_check, "SENTINEL_COMPARISONS", "c")  # hold it to the C rows
+    monkeypatch.setattr(weights, "_from_search_in_c", _converts_in_one_pass)
+    problems = cross_check.from_search_problems()[0]
+    assert "from_search(2**53+1) under sentinel: the C call said False" in problems
+    assert (
+        "from_search(nan) under ieee_baseline: the C call said look closer and changed the map"
+        in problems
+    )
+    wrong_sign = [p for p in problems if p.startswith("from_search(-0.0) under sentinel: C path")]
+    assert len(wrong_sign) == 1 and "'-0.0')], Python loop gave" in wrong_sign[0]
+    assert not any(p.startswith("from_search(5e-324) under") for p in problems)
+
+
+_in_c = weights.SENTINEL_COMPARISONS == "c"
+needs_c = pytest.mark.skipif(not _in_c, reason="the C extension is not loaded")
+_ROUNDS_TO_INF = 2**1024 - 2**970
+
+
+def _on_the_c_path(distances, infinity):
+    """The conversion as dijkstra runs it."""
+    if weights._from_search_in_c(distances, infinity):
+        return distances
+    return weights._from_search(distances, infinity)
+
+
+@st.composite
+def _search_maps(draw):
+    """A fresh distance map of in-range floats and ints and the infinity of a
+    domain, as the kernel leaves it, with that infinity."""
+    infinity = draw(st.sampled_from((math.inf, INFINITY)))
+    values = st.one_of(
+        st.floats(min_value=0.0, max_value=_MAX),
+        st.just(-0.0),
+        st.integers(0, _ROUNDS_TO_INF - 1),
+        st.just(infinity),
+    )
+    return dict(enumerate(draw(st.lists(values, max_size=12)), start=1)), infinity
+
+
+# (label, value, the exception and message its conversion raises)
+_OUT_OF_DOMAIN = (
+    ("True", True, TypeError, "weight must be a real number, got bool"),
+    ("Fraction", Fraction(1, 3), TypeError, "weight must be a real number, got Fraction"),
+    ("finite(1.0)", finite(1.0), TypeError, "weight must be a real number, got ExtendedWeight"),
+    ("nan", math.nan, ValueError, "weight cannot be NaN"),
+    ("-1.0", -1.0, ValueError, "weight cannot be negative: -1.0"),
+    ("-1", -1, ValueError, "weight cannot be negative: -1.0"),
+    ("another inf", float("inf"), ValueError, "use INFINITY for an infinite weight"),
+    ("2**1024-2**970", _ROUNDS_TO_INF, ValueError, "use INFINITY for an infinite weight"),
+)
+
+
+class TestFromSearch:
+    """The search's conversion, in C with the Python loop behind it, gives
+    what the Python loop alone gives."""
+
+    @given(_search_maps())
+    @settings(max_examples=300)
+    def test_in_range_maps_match_the_python_loop(self, case):
+        raw, infinity = case
+        named = {str(k): v for k, v in raw.items()}
+        outcome = cross_check.conversion_outcome
+        for distances in (named, raw):  # int node ids make the C call look closer
+            expected = outcome(weights._from_search, dict(distances), infinity)
+            assert outcome(_on_the_c_path, dict(distances), infinity) == expected
+        assert weights._from_search_in_c(named, infinity) is _in_c
+        assert weights._from_search_in_c(raw, infinity) is (_in_c and not raw)
+
+    @pytest.mark.parametrize("infinity", [math.inf, INFINITY], ids=["ieee", "sentinel"])
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [pytest.param(v, e, m, id=label) for label, v, e, m in _OUT_OF_DOMAIN],
+    )
+    def test_an_out_of_domain_value_leaves_the_map_to_the_loop(
+        self, infinity, value, error, message
+    ):
+        distances = {"A": 0.0, "B": 2, "C": infinity, "Z": value}
+        before = list(distances.items())
+        assert weights._from_search_in_c(distances, infinity) is False
+        assert all(a is b and v is w for (a, v), (b, w) in zip(before, distances.items()))
+        for convert in (_on_the_c_path, weights._from_search):
+            with pytest.raises(error) as caught:
+                convert(dict(before), infinity)
+            assert str(caught.value) == message
+
+    @needs_c
+    def test_negative_zero_is_folded_and_ints_become_their_image(self):
+        distances = {"A": -0.0, "B": 2**53 + 1, "C": 0, "D": 2.5, "E": INFINITY}
+        assert weights._from_search_in_c(distances, INFINITY) is True
+        assert [type(w) for w in distances.values()] == [ExtendedWeight] * 4 + [type(INFINITY)]
+        assert distances["E"] is INFINITY
+        assert math.copysign(1.0, distances["A"].value) == 1.0
+        assert [distances[k].value for k in "BCD"] == [float(2**53), 0.0, 2.5]
+        assert all(type(distances[k].value) is float for k in "ABCD")
+
+    @needs_c
+    def test_the_c_call_needs_a_type_with_its_own_value_slot(self):
+        for finite_type in (float, object, "ExtendedWeight"):
+            with pytest.raises(TypeError):
+                weights._absinf.from_search(finite_type, INFINITY, {"A": 1.0}, math.inf)
+
+    @needs_c
+    def test_repeated_conversions_leak_nothing(self):
+        template = {"A": 0.0, "B": -0.0, "C": 2.5, "D": 7, "E": math.inf, "F": math.inf}
+        counted = (ExtendedWeight, INFINITY, math.inf, template["C"])
+
+        def convert(times):
+            for _ in range(times):
+                weights._from_search_in_c(dict(template), math.inf)
+
+        convert(1_000)
+        tracemalloc.start()
+        try:
+            convert(1_000)
+            size = tracemalloc.get_traced_memory()[0]
+            refcounts = list(map(sys.getrefcount, counted))
+            convert(100_000)
+            grown = tracemalloc.get_traced_memory()[0] - size
+        finally:
+            tracemalloc.stop()
+        assert list(map(sys.getrefcount, counted)) == refcounts
+        assert grown < 64 * 1024  # one leaked float per call would be 2.4 MB
 
 
 class TestBinary64:

@@ -28,9 +28,20 @@ It puts this checkout's ``src/`` on the import path and checks:
    check on.  Without the extension the check says False to every graph.
    The summary reports the check's answer per graph, null where the
    extension did not load.
+   For the same graphs, the C check of weight types says True exactly when
+   the graph, its adjacencies and its weights are of exact types, and
+   ``emit_graph`` gives its Python loop's answer with the check on.
 7. ``compare`` and ``add`` over every pair of the weights in ``OPERANDS``
    give the IEEE order and sum of their binary64 images, a sum of +inf
    being ``INFINITY`` itself.
+8. For each value of ``FROM_SEARCH``, last in a distance map of each
+   domain, the search's conversion on the path ``dijkstra`` takes (the C
+   call, then the Python loop if it says "look closer") gives the same
+   weights, types and ``INFINITY`` identity as the Python loop alone, or
+   the same exception and message.  The C call converts exactly where the
+   table says it does, and leaves the map untouched where it does not.
+   The summary reports its answer per domain and value, null where the
+   extension did not load.
 
 ``MESSAGES`` and the two digest pins live here only; ``tests/`` reads them
 from this module and checks the same things under pytest.  Each failed check
@@ -55,7 +66,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from extinf.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
 from extinf.generators import KINDS, GeneratorSpec, generate  # noqa: E402
-from extinf import graphs  # noqa: E402
+from extinf import graphs, weights  # noqa: E402
 from extinf.graphs import emit_graph, validate  # noqa: E402
 from extinf.shortest_path import DOMAINS, WeightDomain, bellman_ford, dijkstra  # noqa: E402
 from extinf.weights import (  # noqa: E402
@@ -147,37 +158,64 @@ def _edge(weight, node="A", target="B", adjacency=dict):
     return {node: adjacency({target: weight}), "B": {}}
 
 
-# (label, graph, whether every type in it is exact) for the C check of plain
-# graphs: the weights on either side of each bound, then every way a graph
-# can leave the exact types or the rules.
+# (label, graph, whether every type in it is exact, whether the graph and its
+# adjacencies are exact dicts and its weights exact ints and floats) for the C
+# checks of plain graphs and of weight types: the weights on either side of
+# each bound, then every way a graph can leave the exact types or the rules.
 PLAIN_GRAPHS = (
-    ("2**1024-2**970-1", _edge(_ROUNDS_TO_INF - 1), True),
-    ("2**1024-2**970", _edge(_ROUNDS_TO_INF), True),
-    ("10**400", _edge(10**400), True),
-    ("-10**400", _edge(-(10**400)), True),
-    ("0", _edge(0), True),
-    ("-1", _edge(-1), True),
-    ("0.0", _edge(0.0), True),
-    ("-0.0", _edge(-0.0), True),
-    ("5e-324", _edge(5e-324), True),
-    ("max float", _edge(_MAX), True),
-    ("nan", _edge(math.nan), True),
-    ("inf", _edge(math.inf), True),
-    ("-inf", _edge(-math.inf), True),
-    ("INFINITY", _edge(INFINITY), False),
-    ("True", _edge(True), False),
-    ("IntEnum weight", _edge(_Level.ONE), False),
-    ("float subclass weight", _edge(_Float(2.0)), False),
-    ("Fraction weight", _edge(Fraction(2)), False),
-    ("str subclass id", _edge(1, node=_Str("A")), False),
-    ("str subclass target", _edge(1, target=_Str("B")), False),
-    ("dict subclass adjacency", _edge(1, adjacency=_Dict), False),
-    ("non-dict adjacency", {"A": [("B", 1)], "B": {}}, False),
-    ("non-str target", _edge(1, target=1), True),
-    ("missing target", _edge(1, target="C"), True),
-    ("non-dict graph", [("A", {})], False),
-    ("empty graph", {}, True),
-    ("no edges", {"A": {}}, True),
+    ("2**1024-2**970-1", _edge(_ROUNDS_TO_INF - 1), True, True),
+    ("2**1024-2**970", _edge(_ROUNDS_TO_INF), True, True),
+    ("10**400", _edge(10**400), True, True),
+    ("-10**400", _edge(-(10**400)), True, True),
+    ("0", _edge(0), True, True),
+    ("-1", _edge(-1), True, True),
+    ("0.0", _edge(0.0), True, True),
+    ("-0.0", _edge(-0.0), True, True),
+    ("5e-324", _edge(5e-324), True, True),
+    ("max float", _edge(_MAX), True, True),
+    ("nan", _edge(math.nan), True, True),
+    ("inf", _edge(math.inf), True, True),
+    ("-inf", _edge(-math.inf), True, True),
+    ("INFINITY", _edge(INFINITY), False, False),
+    ("True", _edge(True), False, False),
+    ("IntEnum weight", _edge(_Level.ONE), False, False),
+    ("float subclass weight", _edge(_Float(2.0)), False, False),
+    ("Fraction weight", _edge(Fraction(2)), False, False),
+    ("str subclass id", _edge(1, node=_Str("A")), False, True),
+    ("str subclass target", _edge(1, target=_Str("B")), False, True),
+    ("dict subclass adjacency", _edge(1, adjacency=_Dict), False, False),
+    ("non-dict adjacency", {"A": [("B", 1)], "B": {}}, False, False),
+    ("non-str target", _edge(1, target=1), True, True),
+    ("missing target", _edge(1, target="C"), True, True),
+    ("non-dict graph", [("A", {})], False, False),
+    ("empty graph", {}, True, True),
+    ("no edges", {"A": {}}, True, True),
+)
+
+_BOTH = frozenset(DOMAINS)
+_ANOTHER_INF = float("inf")  # a +inf that is not the object math.inf
+
+# (label, value, the domains under which the C conversion takes a map holding
+# it) for the search's conversion: the edges of the range it converts, then
+# every kind of value it must leave to the Python loop.
+FROM_SEARCH = (
+    ("-0.0", -0.0, _BOTH),
+    ("5e-324", 5e-324, _BOTH),
+    ("max float", _MAX, _BOTH),
+    ("0", 0, _BOTH),
+    ("2**53+1", 2**53 + 1, _BOTH),
+    ("2**1024-2**970-1", _ROUNDS_TO_INF - 1, _BOTH),
+    ("2**1024-2**970", _ROUNDS_TO_INF, ()),
+    ("-1", -1, ()),
+    ("True", True, ()),
+    ("float subclass", _Float(2.0), ()),
+    ("nan", math.nan, ()),
+    ("-1.0", -1.0, ()),
+    ("another inf", _ANOTHER_INF, ()),
+    ("Fraction(1, 3)", Fraction(1, 3), ()),
+    ("finite(1.0)", finite(1.0), ()),
+    ("math.inf", math.inf, {"ieee_baseline"}),
+    ("INFINITY", INFINITY, {"sentinel"}),
 )
 
 # (kind, node count) of the benchmark's generated graphs, and the largest grid.
@@ -346,13 +384,21 @@ def weight_function_problems():
     return problems
 
 
+def _outcome(function, *args):
+    """What function(*args) returned, or the type and message it raised."""
+    try:
+        return ("returned", function(*args))
+    except Exception as exc:  # noqa: BLE001 - any exception is an outcome
+        return ("raised", type(exc), str(exc))
+
+
 def plain_graph_problems():
     """The problems of the C check of plain graphs, and its answer per graph
     (None without the extension, whose stand-in says False to every graph)."""
     check = graphs._plain_graph
     native = SENTINEL_COMPARISONS == "c"
     answers, problems = {}, []
-    for label, graph, exact in PLAIN_GRAPHS:
+    for label, graph, exact, _ in PLAIN_GRAPHS:
         graphs._plain_graph = lambda graph: False  # validate's Python loop alone
         try:
             loop = validate(graph)
@@ -365,6 +411,66 @@ def plain_graph_problems():
         # Without the extension False, "look closer", is right for every graph.
         if answer is not (exact and not loop) and (native or answer is not False):
             problems.append(f"plain_graph({label}) said {answer!r}, the loop found {loop!r}")
+    return problems, answers
+
+
+def plain_weights_problems():
+    """The problems of the C check of weight types, and its answer per graph
+    (None without the extension, whose stand-in says False to every graph)."""
+    check = graphs._plain_weights
+    native = SENTINEL_COMPARISONS == "c"
+    answers, problems = {}, []
+    for label, graph, _, exact_weights in PLAIN_GRAPHS:
+        graphs._plain_weights = lambda graph: False  # emit_graph's Python loop alone
+        try:
+            loop = _outcome(emit_graph, graph)
+        finally:
+            graphs._plain_weights = check
+        if _outcome(emit_graph, graph) != loop:
+            problems.append(f"emit_graph({label}) changed with the C check on")
+        answer = check(graph)
+        answers[label] = answer if native else None
+        if answer is not exact_weights and (native or answer is not False):
+            problems.append(f"plain_weights({label}) said {answer!r}, emit_graph's loop {loop[0]}")
+    return problems, answers
+
+
+def conversion_outcome(convert, distances, infinity):
+    """What convert(distances, infinity) gave: each weight as (node, type,
+    is INFINITY, repr of its binary64 image), so -0.0 and +0.0 differ, or the
+    type and message of what it raised."""
+    outcome = _outcome(convert, distances, infinity)
+    if outcome[0] != "returned":
+        return outcome
+    return [(node, type(w), w is INFINITY, repr(w._value)) for node, w in outcome[1].items()]
+
+
+def from_search_problems():
+    """The problems of the search's conversion in C, and its answer per
+    domain and value (None without the extension)."""
+    native = SENTINEL_COMPARISONS == "c"
+    answers, problems = {name: {} for name in DOMAINS}, []
+    for label, value, converted_in in FROM_SEARCH:
+        for domain in DOMAINS.values():
+            infinity = domain.infinity
+            where = f"from_search({label}) under {domain.name}"
+            # Last, so a conversion that gave up half-way would have changed the rest.
+            row = {"A": 0.0, "B": 2, "C": infinity, "Z": value}
+            distances = dict(row)
+            answer = weights._from_search_in_c(distances, infinity)
+            answers[domain.name][label] = answer if native else None
+            if answer is not (native and domain.name in converted_in):
+                problems.append(f"{where}: the C call said {answer!r}")
+            if not answer and any(a is not b for a, b in zip(row.values(), distances.values())):
+                problems.append(f"{where}: the C call said look closer and changed the map")
+            c_path = conversion_outcome(
+                lambda d, i: d if answer else weights._from_search(d, i), distances, infinity
+            )
+            python_loop = conversion_outcome(weights._from_search, dict(row), infinity)
+            if c_path != python_loop:
+                problems.append(
+                    f"{where}: C path gave {c_path!r}, Python loop gave {python_loop!r}"
+                )
     return problems, answers
 
 
@@ -395,7 +501,9 @@ def main():
     problems += message_problems() + domain_problems() + digest_problems() + operator_problems()
     problems += weight_function_problems()
     plain_problems, plain_answers = plain_graph_problems()
-    problems += plain_problems
+    weights_problems, weights_answers = plain_weights_problems()
+    conversion_problems, conversion_answers = from_search_problems()
+    problems += plain_problems + weights_problems + conversion_problems
     for problem in problems:
         print(problem)
     print(
@@ -407,6 +515,8 @@ def main():
                 "sentinel_comparisons": SENTINEL_COMPARISONS,
                 "native_failure": NATIVE_FAILURE,
                 "plain_graphs": plain_answers,
+                "plain_weights": weights_answers,
+                "from_search": conversion_answers,
             }
         )
     )
