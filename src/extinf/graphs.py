@@ -11,21 +11,24 @@ always serialize to identical bytes: ``emit_graph`` writes the bytes of
 encoder rather than its pure-Python indent encoder, encoding each distinct
 key and weight once.
 
-``_weight_problem`` is the one weight rule.  ``parse_graph`` and ``validate``
-accept a plain ``int`` or ``float`` in range inline, without a call (``int``
-first, since bundled and generated graphs hold int weights), and send every
-other weight to it; ``generators`` uses it for explicit weights.  A search
-never reads or writes JSON, so ``json`` loads on first use.
+``_weight_problem`` is the one weight rule.  ``validate`` accepts a plain
+``int`` or ``float`` in range inline, without a call (``int`` first, since
+bundled and generated graphs hold int weights), and sends every other weight
+to it; ``generators`` uses it for explicit weights.  ``parse_graph`` raises
+on malformed JSON, a non-object document or adjacency, a duplicate key, then
+``validate``'s first violation, in that order; only ``validate`` and
+``emit_graph`` walk a graph's edges in Python.  A search never reads or
+writes JSON, so ``json`` loads on first use.
 
-Before those per-edge loops run, the C extension that also holds INFINITY's
+Before those loops run, the C extension that also holds INFINITY's
 comparisons (``_absinf.c``) checks a plain graph in one pass:
 ``_plain_graph(graph)`` is True only when ``validate(graph)`` would find
-nothing, and then ``validate`` and ``parse_graph`` skip their loops.
-``emit_graph`` only needs every weight to be a number, so it asks the
-lighter ``_plain_weights(graph)``, which tests the weights' exact types and
-looks up no target.  False means "look closer": the loops run and word every
-problem.  Without the extension both checks always say False and the loops
-run.
+nothing; then ``validate`` skips its loop and ``parse_graph`` returns the
+decoded document.  ``emit_graph`` only needs every weight to be a number, so
+it asks the lighter ``_plain_weights(graph)``, which tests the weights' exact
+types and looks up no target.  False means "look closer": the loops run and
+word every problem.  Without the extension both checks always say False and
+the loops run.
 """
 
 import itertools
@@ -90,9 +93,10 @@ def _check_weight(node, neighbor, weight):
 def parse_graph(text: str) -> dict:
     """Parse a JSON graph document.
 
+    Raises GraphParseError on the first of: malformed JSON, a non-object
+    document or adjacency, a duplicate key, ``validate``'s first violation.
     Edge targets missing from the key set are auto-added with empty adjacency
-    and reported via DanglingTargetWarning.  Malformed documents raise
-    GraphParseError naming the offending node or edge.
+    and, if the graph is then valid, reported via DanglingTargetWarning.
     """
     import json
 
@@ -112,20 +116,12 @@ def parse_graph(text: str) -> dict:
                 raise GraphParseError(
                     f"adjacency of node {node!r} must be an object, got {type(neighbors).__name__}"
                 )
-            for neighbor, w in neighbors.items():
-                if not (
-                    (type(w) is int and 0 <= w < _ROUNDS_TO_INF)
-                    or (type(w) is float and 0.0 <= w < math.inf)
-                ):
-                    problem = _check_weight(node, neighbor, w)
-                    if problem is not None:
-                        raise GraphParseError(problem)
-    # json.loads keeps the last of duplicate keys.  Every value is now a number
-    # or a flat object, so each member has exactly one ":" outside a string and
-    # equal counts prove that no key was dropped; unequal ones are looked into.
-    # In encoded text every ":" still holds a 0x3A byte, and stray ones only add.
+    # json.loads keeps the last of duplicate keys.  Each member of the document
+    # and of an adjacency has its own ":", and any other ":" (in a string, in a
+    # non-number weight, or a 0x3A byte of encoded text) only adds to the count,
+    # so equal counts prove that no key was dropped before any weight is checked.
     colon = b":" if isinstance(text, (bytes, bytearray)) else ":"
-    if text.count(colon) != len(doc) + sum(map(len, doc.values())):
+    if text.count(colon) != len(doc) + count_edges(doc):
         members = json.loads(text, object_pairs_hook=list)
         # Node ids first: once they are distinct, each adjacency is one checked above.
         for node, pairs in [(None, members)] + members:
@@ -139,9 +135,12 @@ def parse_graph(text: str) -> dict:
         return doc
     graph = doc  # json.loads built every dict afresh, so the graph owns them
     dangling = sorted(set(itertools.chain.from_iterable(graph.values())) - graph.keys())
+    for target in dangling:
+        graph[target] = {}
+    problems = validate(graph)
+    if problems:
+        raise GraphParseError(problems[0])
     if dangling:
-        for target in dangling:
-            graph[target] = {}
         warnings.warn(
             f"auto-added {len(dangling)} node(s) that only appeared as edge targets: "
             + ", ".join(repr(t) for t in dangling),
@@ -251,4 +250,4 @@ def validate(graph: dict) -> list:
 
 
 def count_edges(graph: dict) -> int:
-    return sum(len(neighbors) for neighbors in graph.values())
+    return sum(map(len, graph.values()))

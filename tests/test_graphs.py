@@ -116,6 +116,28 @@ class TestParse:
             warnings.simplefilter("error")
             parse_graph('{"A":{"B":2},"B":{}}')
 
+    # The first fault wins: decoding, then the JSON shape, then duplicate keys,
+    # then validate's first violation.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"A":{"B":-1},"B":3', "malformed JSON"),
+            ('{"A":{"B":-1},"B":3}', "adjacency of node 'B' must be an object, got int"),
+            ('{"A":{"B":-1},"B":{"C":1,"C":2},"C":{}}', "edge 'B' -> 'C' appears more than once"),
+            ('{"A":{"B":-1},"B":{"C":"x"}}', "edge 'A' -> 'B': negative weight -1"),
+        ],
+        ids=["decoding", "shape", "duplicate", "graph rule"],
+    )
+    def test_fault_order(self, text, message):
+        with pytest.raises(GraphParseError, match="^" + re.escape(message)):
+            parse_graph(text)
+
+    def test_no_warning_for_a_graph_that_fails_validate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphParseError, match=r"^edge 'A' -> 'B': negative weight -1$"):
+                parse_graph('{"A":{"B":-1,"C":1}}')
+
 
 @_also_looking_closer
 class TestEmit:
@@ -279,8 +301,8 @@ class _Float(float):
 
 
 _MAX_INT = int(sys.float_info.max)
-# Weights on and around every edge of the inline test that parse_graph and
-# validate run before _check_weight, and values of the types it must refuse.
+# Weights on and around every edge of the inline test that validate runs
+# before _check_weight, and values of the types it must refuse.
 _EDGE_WEIGHTS = (
     (0.0, -0.0, 5e-324, -5e-324, 1.5, -1.0, sys.float_info.max)
     + (math.inf, -math.inf, math.nan)
@@ -345,8 +367,9 @@ def _check_against_reference(weights):
 
 @_also_looking_closer
 class TestWeightChecks:
-    """parse_graph and validate accept a plain weight inline and hand every
-    other weight to _check_weight; both must agree with _check_weight alone."""
+    """validate accepts a plain weight inline and hands every other weight to
+    _check_weight; it, and parse_graph through it, must agree with
+    _check_weight alone."""
 
     @pytest.mark.parametrize("weight", _EDGE_WEIGHTS, ids=_weight_id)
     def test_edge_weights(self, weight):
@@ -613,6 +636,7 @@ class TestPlainCheck:
         problems, answers = cross_check.plain_graph_problems()
         assert set(answers.values()) == ({True} if SENTINEL_COMPARISONS == "c" else {None})
         assert "validate(missing target) changed with the C check on" in problems
+        assert "parse_graph(missing target) changed with the C check on" in problems
         assert "plain_graph(IntEnum weight) said True, the loop found []" in problems
 
     @pytest.mark.skipif(SENTINEL_COMPARISONS != "c", reason="the C extension is not loaded")
@@ -649,6 +673,8 @@ class TestPlainCheck:
             patch.setattr(graphs, "isinstance", _loop_ran, raising=False)
             texts = [emit_graph(graph) for graph in plain]
             assert [validate(graph) for graph in plain] == [[]] * len(plain)
-        # A dropped key or a dangling target is looked for in a set.
+        # A dropped key or a dangling target is looked for in a set, and the
+        # graph rule is validate's.
         monkeypatch.setattr(graphs, "set", _loop_ran, raising=False)
+        monkeypatch.setattr(graphs, "validate", _loop_ran)
         assert [parse_graph(text) for text in texts] == plain

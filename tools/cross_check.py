@@ -26,6 +26,9 @@ It puts this checkout's ``src/`` on the import path and checks:
    exactly when every type in the graph is exact and ``validate``'s Python
    loop finds nothing, and ``validate`` gives the loop's answer with the
    check on.  Without the extension the check says False to every graph.
+   For each of those graphs that ``json.dumps`` takes, ``parse_graph`` of its
+   text gives the same graph, or exception type and message, and the same
+   warnings with the check on as with it off.
    The summary reports the check's answer per graph, null where the
    extension did not load.
    For the same graphs, the C check of weight types says True exactly when
@@ -57,6 +60,7 @@ import math
 import operator
 import platform
 import sys
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -67,7 +71,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from extinf.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
 from extinf.generators import KINDS, GeneratorSpec, generate  # noqa: E402
 from extinf import graphs, weights  # noqa: E402
-from extinf.graphs import emit_graph, validate  # noqa: E402
+from extinf.graphs import emit_graph, parse_graph, validate  # noqa: E402
 from extinf.shortest_path import DOMAINS, WeightDomain, bellman_ford, dijkstra  # noqa: E402
 from extinf.weights import (  # noqa: E402
     INFINITY,
@@ -392,6 +396,19 @@ def _outcome(function, *args):
         return ("raised", type(exc), str(exc))
 
 
+def parse_outcome(graph):
+    """What parse_graph gave on graph's JSON text, with the warnings it
+    issued, or None where json.dumps refuses the graph."""
+    try:
+        text = json.dumps(graph)
+    except (TypeError, ValueError):
+        return None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = _outcome(parse_graph, text)
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
 def plain_graph_problems():
     """The problems of the C check of plain graphs, and its answer per graph
     (None without the extension, whose stand-in says False to every graph)."""
@@ -399,13 +416,15 @@ def plain_graph_problems():
     native = SENTINEL_COMPARISONS == "c"
     answers, problems = {}, []
     for label, graph, exact, _ in PLAIN_GRAPHS:
-        graphs._plain_graph = lambda graph: False  # validate's Python loop alone
+        graphs._plain_graph = lambda graph: False  # the Python loops alone
         try:
-            loop = validate(graph)
+            loop, parsed = validate(graph), parse_outcome(graph)
         finally:
             graphs._plain_graph = check
         if validate(graph) != loop:
             problems.append(f"validate({label}) changed with the C check on")
+        if parse_outcome(graph) != parsed:
+            problems.append(f"parse_graph({label}) changed with the C check on")
         answer = check(graph)
         answers[label] = answer if native else None
         # Without the extension False, "look closer", is right for every graph.

@@ -4,57 +4,91 @@ Stdlib only, so it runs on interpreters that have no pytest::
 
     python3 tools/generate_timings.py
 
-It puts this checkout's ``src/`` on the import path and, for each graph of
-the README's "Generating and writing" table (seed ``SEED``), prints the
-minimum-of-repeats ``timeit`` time of ``generate`` and of ``emit_graph``.
-It checks nothing: ``tools/cross_check.py`` checks the generated bytes.
-The last line of output is the whole report as JSON.
+It puts this checkout's ``src/`` and ``perfbench/`` on the import path and,
+for the graphs of the README's "Generating and writing" table (seed
+``SEED``), runs ``ROUNDS`` rounds.  Each round reads
+``perfbench/refspeed.reference_ms()`` once, then times ``generate`` and
+``emit_graph`` once on every graph in turn, so a drift in host speed lands
+on every graph alike.  Reported per graph and function: the median and
+quartiles of the per-call times over the rounds, next to the same for the
+reference loop.  It checks nothing: ``tools/cross_check.py`` checks the
+generated bytes.  The last line of output is the whole report as JSON.
 """
 
 import json
 import platform
+import statistics
 import sys
 import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from extinf.generators import GeneratorSpec, generate  # noqa: E402
 from extinf.graphs import emit_graph  # noqa: E402
+from refspeed import reference_ms  # noqa: E402
 
 SEED = 12345
+ROUNDS = 21
 TABLE = (("dense", 100), ("equal_weights", 200), ("grid", 400), ("grid", 1600), ("dense", 800))
 
 
-def best_ms(call, budget_s=0.5):
-    """Fastest of five repeats, each of enough calls to fill a tenth of budget_s."""
-    number = max(1, int(budget_s / 10 / max(timeit.timeit(call, number=1), 1e-6)))
-    return min(timeit.repeat(call, number=number, repeat=5)) / number * 1e3
+def quartiles(samples):
+    """The median and quartiles of samples, in ms to three places."""
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"p25": round(q1, 3), "median": round(median, 3), "p75": round(q3, 3)}
+
+
+def _timer(call, budget_s=0.01):
+    """Per-call ms of call, over enough calls to fill about budget_s."""
+    number = max(1, int(budget_s / max(timeit.timeit(call, number=1), 1e-6)))
+    timer = timeit.Timer(call)
+    return lambda: timer.timeit(number) / number * 1e3
 
 
 def timings():
-    rows = []
+    timers = []
     for kind, node_count in TABLE:
         spec = GeneratorSpec(kind, node_count, seed=SEED)
         graph = generate(spec)
-        rows.append(
+        timers.append(
             {
-                "kind": kind,
-                "nodes": node_count,
-                "generate_ms": round(best_ms(lambda: generate(spec)), 3),
-                "emit_graph_ms": round(best_ms(lambda: emit_graph(graph)), 3),
+                "generate_ms": _timer(lambda spec=spec: generate(spec)),
+                "emit_graph_ms": _timer(lambda graph=graph: emit_graph(graph)),
             }
         )
-    return rows
+    reference, samples = [], [{name: [] for name in row} for row in timers]
+    for _ in range(ROUNDS):
+        reference.append(reference_ms())
+        for row, times in zip(timers, samples):
+            for name, timer in row.items():
+                times[name].append(timer())
+    rows = [
+        {"kind": kind, "nodes": node_count, **{name: quartiles(ms) for name, ms in times.items()}}
+        for (kind, node_count), times in zip(TABLE, samples)
+    ]
+    return quartiles(reference), rows
+
+
+def _cell(ms):
+    return f"{ms['median']:8.2f} ms [{ms['p25']:.2f}, {ms['p75']:.2f}]"
 
 
 def main():
-    report = {"python": platform.python_version(), "seed": SEED, "graphs": timings()}
-    for row in report["graphs"]:
+    reference, rows = timings()
+    report = {
+        "python": platform.python_version(),
+        "seed": SEED,
+        "rounds": ROUNDS,
+        "reference_ms": reference,
+        "graphs": rows,
+    }
+    print(f"reference loop {_cell(reference)}")
+    for row in rows:
         print(
-            f"{row['kind']:14} {row['nodes']:5} nodes  generate {row['generate_ms']:8.2f} ms  "
-            f"emit_graph {row['emit_graph_ms']:8.2f} ms"
+            f"{row['kind']:14} {row['nodes']:5} nodes  generate {_cell(row['generate_ms'])}  "
+            f"emit_graph {_cell(row['emit_graph_ms'])}"
         )
     print(json.dumps(report))
     return 0
