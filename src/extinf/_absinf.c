@@ -1,6 +1,6 @@
 /* The comparisons and hash of extinf's INFINITY, the conversion of a
-   search's distance map to weights, and two checks of plain graphs, answered
-   in C.
+   search's distance map to weights, two checks of plain graphs and the
+   mixing of a block of SplitMix64 outputs, answered in C.
 
    weights._Infinity lists AbsInf as its first base, so CPython installs
    these slots on it directly: comparing with INFINITY makes no Python-level
@@ -31,6 +31,14 @@
    every problem.  Like from_search, both take exact types only (dict, str,
    int, float), so no Python code runs inside them and nothing can change
    under them.
+
+   splitmix_block(state) is the fast path of generators._mix_lanes, whose
+   lane arithmetic holds the rule: the bytes of int.to_bytes(16 * BLOCK,
+   sys.byteorder) for an int whose i-th 128-bit lane from the least
+   significant end holds, in its low word, the SplitMix64 output BLOCK - i
+   steps past state, and zero in its high word.  state must be an int in
+   [0, 2**64): PyLong_AsUnsignedLongLong raises TypeError for a non-int and
+   OverflowError for an int out of range.
 
    image() is the one place this file computes a binary64 image: the
    comparisons, from_search and plain_graph's weight test all read it.  A
@@ -278,6 +286,37 @@ from_search(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_TRUE;
 }
 
+/* SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) with the constants of
+   generators.py; BLOCK is generators._BLOCK. */
+#define BLOCK 512
+#define GAMMA 0x9E3779B97F4A7C15ULL
+
+/* The mixed block of outputs 1 to BLOCK steps past state, laid out as
+   generators._mix_lanes returns it. */
+static PyObject *
+splitmix_block(PyObject *module, PyObject *state_arg)
+{
+    unsigned long long state = PyLong_AsUnsignedLongLong(state_arg);
+    if (state == (unsigned long long)-1 && PyErr_Occurred())
+        return NULL;
+    uint64_t words[2 * BLOCK] = {0}; /* (low, high) word pairs of the lanes */
+    for (int step = 1; step <= BLOCK; step++) {
+        uint64_t z = state + step * GAMMA;
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+        z ^= z >> 31;
+        /* Little-endian bytes run from the least significant lane, the last
+           output, low word first; big-endian ones from the most significant
+           lane, the first output, high word first. */
+#if PY_BIG_ENDIAN
+        words[2 * step - 1] = z;
+#else
+        words[2 * (BLOCK - step)] = z;
+#endif
+    }
+    return PyBytes_FromStringAndSize((const char *)words, sizeof words);
+}
+
 static PyMethodDef absinf_functions[] = {
     {"plain_graph", plain_graph, METH_O,
      "plain_graph(graph) -> bool\n\nTrue only if graphs.validate(graph) would find nothing: exact\n"
@@ -292,6 +331,11 @@ static PyMethodDef absinf_functions[] = {
      "itself becomes infinity_weight, an exact int or float in [0, inf) a\n"
      "finite_type with that _value.  False, with distances untouched, means\n"
      "look closer."},
+    {"splitmix_block", splitmix_block, METH_O,
+     "splitmix_block(state) -> bytes\n\nThe SplitMix64 outputs 1 to 512 steps past state, an int in\n"
+     "[0, 2**64), as generators._mix_lanes(state) lays them out: 128-bit\n"
+     "lanes in native byte order, the last output in the least significant\n"
+     "lane, each output in its lane's low word and zero in its high word."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -307,7 +351,8 @@ static PyTypeObject AbsInf_Type = {
 
 static struct PyModuleDef absinf_module = {
     PyModuleDef_HEAD_INIT, "_absinf",
-    "The C comparisons of extinf's INFINITY, its search conversion and its graph checks.", -1,
+    "The C comparisons of extinf's INFINITY, its search conversion, its graph checks\n"
+    "and its SplitMix64 mixing.", -1,
     absinf_functions,
 };
 

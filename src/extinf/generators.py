@@ -8,11 +8,14 @@ order.
 
 SplitMix64's k-th output is a fixed mix of ``seed + k * gamma mod 2**64``
 (Steele, Lea and Flood, "Fast splittable pseudorandom number generators",
-OOPSLA 2014), so ``SplitMix64`` mixes 512 outputs at once, as 128-bit lanes of
-one Python int masked back to 64 bits after every step so that nothing
-carries into the next lane; the loops over lanes are then the int type's C
-loops.  ``SplitMix64.randints`` returns exactly the values of the same number
-of ``randint`` calls and leaves the stream on the same next output.
+OOPSLA 2014), so ``SplitMix64`` mixes 512 outputs at once.  The rule is
+``_mix_lanes``: 128-bit lanes of one Python int masked back to 64 bits after
+every step so that nothing carries into the next lane, the loops over lanes
+being the int type's C loops.  With the C extension that ``weights`` loads,
+``_absinf.splitmix_block`` returns the same bytes from a plain C loop, and
+``_mix_lanes`` is only the fallback.  ``SplitMix64.randints`` returns exactly
+the values of the same number of ``randint`` calls and leaves the stream on
+the same next output.
 
 The ``_KINDS`` table at the end of the module is the single definition of a
 kind: its builder, its fewest nodes and whether it takes explicit weights.
@@ -27,6 +30,7 @@ from functools import cache, lru_cache, partial
 from itertools import compress, filterfalse, islice
 
 from .graphs import _weight_problem
+from .weights import _absinf
 
 __all__ = ["GeneratorSpec", "KINDS", "SplitMix64", "generate"]
 
@@ -45,10 +49,26 @@ _LOW_BYTES = slice(-16, None, -16) if sys.byteorder == "little" else slice(15, N
 @cache
 def _lane_constants():
     """1 in each lane, gamma times each lane's steps, and the lane mask;
-    built on first use, not on import, since a search never generates."""
+    built on the fallback's first block, not on import."""
     ones = int.from_bytes(b"\x01".ljust(16, b"\0") * _BLOCK, "little")
     steps = b"".join(k.to_bytes(16, "little") for k in range(_BLOCK, 0, -1))
     return ones, _GAMMA * int.from_bytes(steps, "little"), _MASK64 * ones
+
+
+def _mix_lanes(state):
+    """The outputs 1 to _BLOCK steps past state as the bytes of one int,
+    lane i holding the output _BLOCK - i steps on in its low word and zero
+    in its high word: the rule of a mixed block, and its fallback."""
+    ones, steps, mask = _lane_constants()
+    z = (state * ones + steps) & mask
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    z = (z ^ (z >> 31)) & mask
+    return z.to_bytes(16 * _BLOCK, sys.byteorder)
+
+
+# state -> its mixed block's bytes, in C when the extension is loaded.
+_splitmix_block = _mix_lanes if _absinf is None else _absinf.splitmix_block
 
 
 @cache
@@ -72,14 +92,12 @@ class SplitMix64:
         self._low = b""  # low byte of each output of the block, first first
 
     def _mix_block(self):
-        """Mix the next block of outputs and return its lanes' bytes."""
-        ones, steps, mask = _lane_constants()
-        z = (self._state * ones + steps) & mask
-        self._state = (self._state + _BLOCK * _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
-        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
-        z ^= z >> 31  # the bits this leaves in the high words are never read
-        return z.to_bytes(16 * _BLOCK, sys.byteorder)
+        """Mix the next block of outputs and return its lanes' bytes: in C
+        (``_absinf.splitmix_block``) when the extension is loaded, else by
+        the lane arithmetic of ``_mix_lanes``, which is the rule."""
+        state = self._state
+        self._state = (state + _BLOCK * _GAMMA) & _MASK64
+        return _splitmix_block(state)
 
     def _hold(self, raw):
         """Make a mixed block the unread one."""

@@ -45,6 +45,12 @@ It puts this checkout's ``src/`` on the import path and checks:
    table says it does, and leaves the map untouched where it does not.
    The summary reports its answer per domain and value, null where the
    extension did not load.
+9. For each state of ``SPLITMIX_BLOCKS``, the mixer that ``generate``
+   calls returns the same bytes as the lane arithmetic, the rule, and
+   with the extension loaded each value of ``SPLITMIX_REFUSED`` makes the C
+   mixer raise its exception.  The summary reports, per state, the block's
+   first output in hex, and per refused value the exception raised; null
+   where the extension did not load.
 
 ``MESSAGES`` and the two digest pins live here only; ``tests/`` reads them
 from this module and checks the same things under pytest.  Each failed check
@@ -70,7 +76,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from extinf.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
 from extinf.generators import KINDS, GeneratorSpec, generate  # noqa: E402
-from extinf import graphs, weights  # noqa: E402
+from extinf import generators, graphs, weights  # noqa: E402
 from extinf.graphs import emit_graph, parse_graph, validate  # noqa: E402
 from extinf.shortest_path import DOMAINS, WeightDomain, bellman_ford, dijkstra  # noqa: E402
 from extinf.weights import (  # noqa: E402
@@ -220,6 +226,23 @@ FROM_SEARCH = (
     ("finite(1.0)", finite(1.0), ()),
     ("math.inf", math.inf, {"ieee_baseline"}),
     ("INFINITY", INFINITY, {"sentinel"}),
+)
+
+# (label, state) for the mixer of SplitMix64 blocks: both ends of the state's
+# range, the step, and the state whose first lane wraps past 2**64 to 0.
+SPLITMIX_BLOCKS = (
+    ("0", 0),
+    ("1", 1),
+    ("gamma", generators._GAMMA),
+    ("2**63", 2**63),
+    ("2**64-1", 2**64 - 1),
+    ("2**64-gamma", 2**64 - generators._GAMMA),
+)
+# (label, value, the exception the C mixer raises for it)
+SPLITMIX_REFUSED = (
+    ("-1", -1, OverflowError),
+    ("2**64", 2**64, OverflowError),
+    ("1.0", 1.0, TypeError),
 )
 
 # (kind, node count) of the benchmark's generated graphs, and the largest grid.
@@ -493,6 +516,27 @@ def from_search_problems():
     return problems, answers
 
 
+def splitmix_problems():
+    """The problems of the mixer ``generate`` calls against the lane
+    arithmetic, and its answers (None without the extension)."""
+    mixer = generators._splitmix_block
+    native = SENTINEL_COMPARISONS == "c"
+    answers, problems = {}, []
+    for label, state in SPLITMIX_BLOCKS:
+        outcome, answers[label] = _outcome(mixer, state), None
+        if outcome != ("returned", generators._mix_lanes(state)):
+            problems.append(f"splitmix_block({label}) differs from the lane arithmetic")
+        elif native:
+            first = memoryview(outcome[1]).cast("Q")[generators._LOW_WORDS][-1]
+            answers[label] = f"{first:#018x}"
+    for label, value, expected in SPLITMIX_REFUSED if native else ():
+        outcome = _outcome(mixer, value)
+        raised = answers[label] = outcome[1].__name__ if outcome[0] == "raised" else None
+        if raised != expected.__name__:
+            problems.append(f"splitmix_block({label}) raised {raised}, not {expected.__name__}")
+    return problems, answers
+
+
 def digest_problems():
     problems = []
     for name, digest, pinned in (
@@ -522,7 +566,8 @@ def main():
     plain_problems, plain_answers = plain_graph_problems()
     weights_problems, weights_answers = plain_weights_problems()
     conversion_problems, conversion_answers = from_search_problems()
-    problems += plain_problems + weights_problems + conversion_problems
+    splitmix_found, splitmix_answers = splitmix_problems()
+    problems += plain_problems + weights_problems + conversion_problems + splitmix_found
     for problem in problems:
         print(problem)
     print(
@@ -536,6 +581,7 @@ def main():
                 "plain_graphs": plain_answers,
                 "plain_weights": weights_answers,
                 "from_search": conversion_answers,
+                "splitmix": splitmix_answers,
             }
         )
     )

@@ -9,10 +9,14 @@ for the graphs of the README's "Generating and writing" table (seed
 ``SEED``), runs ``ROUNDS`` rounds.  Each round reads
 ``perfbench/refspeed.reference_ms()`` once, then times ``generate`` and
 ``emit_graph`` once on every graph in turn, so a drift in host speed lands
-on every graph alike.  Reported per graph and function: the median and
-quartiles of the per-call times over the rounds, next to the same for the
-reference loop.  It checks nothing: ``tools/cross_check.py`` checks the
-generated bytes.  The last line of output is the whole report as JSON.
+on every graph alike.  Each round's times are also scaled by
+``NOMINAL_REF_MS`` over that round's reading, as ``perfbench`` scales its
+own with ``--ref-nominal-ms``, so that runs at different host speeds can
+be set side by side.  Reported per graph and
+function: the median and quartiles of the raw and of the scaled per-call
+times over the rounds, next to the same for the reference loop.  It checks
+nothing: ``tools/cross_check.py`` checks the generated bytes.  The last
+line of output is the whole report as JSON.
 """
 
 import json
@@ -31,6 +35,7 @@ from refspeed import reference_ms  # noqa: E402
 
 SEED = 12345
 ROUNDS = 21
+NOMINAL_REF_MS = 0.5  # the --ref-nominal-ms of BENCHMARK.json's command
 TABLE = (("dense", 100), ("equal_weights", 200), ("grid", 400), ("grid", 1600), ("dense", 800))
 
 
@@ -58,14 +63,19 @@ def timings():
                 "emit_graph_ms": _timer(lambda graph=graph: emit_graph(graph)),
             }
         )
-    reference, samples = [], [{name: [] for name in row} for row in timers]
+    reference = []
+    samples = [{name: {"raw": [], "scaled": []} for name in row} for row in timers]
     for _ in range(ROUNDS):
-        reference.append(reference_ms())
+        reading = reference_ms()
+        reference.append(reading)
         for row, times in zip(timers, samples):
             for name, timer in row.items():
-                times[name].append(timer())
+                ms = timer()
+                times[name]["raw"].append(ms)
+                times[name]["scaled"].append(ms * NOMINAL_REF_MS / reading)
     rows = [
-        {"kind": kind, "nodes": node_count, **{name: quartiles(ms) for name, ms in times.items()}}
+        {"kind": kind, "nodes": node_count}
+        | {name: {way: quartiles(ms) for way, ms in ways.items()} for name, ways in times.items()}
         for (kind, node_count), times in zip(TABLE, samples)
     ]
     return quartiles(reference), rows
@@ -75,21 +85,25 @@ def _cell(ms):
     return f"{ms['median']:8.2f} ms [{ms['p25']:.2f}, {ms['p75']:.2f}]"
 
 
+def _cells(times):
+    return f"raw {_cell(times['raw'])}  scaled {_cell(times['scaled'])}"
+
+
 def main():
     reference, rows = timings()
     report = {
         "python": platform.python_version(),
         "seed": SEED,
         "rounds": ROUNDS,
+        "nominal_ref_ms": NOMINAL_REF_MS,
         "reference_ms": reference,
         "graphs": rows,
     }
     print(f"reference loop {_cell(reference)}")
     for row in rows:
-        print(
-            f"{row['kind']:14} {row['nodes']:5} nodes  generate {_cell(row['generate_ms'])}  "
-            f"emit_graph {_cell(row['emit_graph_ms'])}"
-        )
+        print(f"{row['kind']:14} {row['nodes']:5} nodes")
+        print(f"  generate   {_cells(row['generate_ms'])}")
+        print(f"  emit_graph {_cells(row['emit_graph_ms'])}")
     print(json.dumps(report))
     return 0
 
