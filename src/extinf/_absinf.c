@@ -1,6 +1,7 @@
 /* The comparisons and hash of extinf's INFINITY, the conversion of a
-   search's distance map to weights, two checks of plain graphs and the
-   mixing of a block of SplitMix64 outputs, answered in C.
+   search's distance map to weights, two checks of plain graphs, a decoder
+   of plain graph documents and the mixing of a block of SplitMix64
+   outputs, answered in C.
 
    weights._Infinity lists AbsInf as its first base, so CPython installs
    these slots on it directly: comparing with INFINITY makes no Python-level
@@ -32,6 +33,20 @@
    int, float), so no Python code runs inside them and nothing can change
    under them.
 
+   parse_plain_graph(text) is the fast path of graphs.parse_graph, whose
+   json.loads and checks hold the rules.  In one pass over an exact str of
+   the 1-byte kind it builds the dict json.loads(text) builds, in the same
+   key order and with the same value types: an object of objects whose
+   values are unsigned numbers.  Each distinct node id is made once, through
+   a per-call open-addressing table keyed by its raw bytes, so every later
+   occurrence is the same str, as with json's key memo.  An int of at most
+   18 digits is read inline; a token with a fraction or an exponent goes
+   through PyOS_string_to_double, as in json.  Anything else returns None,
+   "look closer": an escape, a control character, a minus sign, a longer
+   int, a non-finite float, NaN or Infinity, other nesting, a duplicate key,
+   trailing data, or a graph that plain_graph refuses, which it calls last.
+   Every exit frees the partial dicts and the table; it keeps no state.
+
    splitmix_block(state) is the fast path of generators._mix_lanes, whose
    lane arithmetic holds the rule: the bytes of int.to_bytes(16 * BLOCK,
    sys.byteorder) for an int whose i-th 128-bit lane from the least
@@ -59,7 +74,7 @@ static Py_hash_t inf_hash;      /* hash(math.inf) */
 static PyTypeObject *finite_type; /* from_search's last finite_type, held */
 static Py_ssize_t value_offset;   /* where its _value slot lives */
 
-static PyObject *absinf_richcompare(PyObject *self, PyObject *other, int op);
+static PyObject *absinf_richcompare(PyObject *, PyObject *, int);
 
 /* other's binary64 image in *out: 1 if other is an int, a float (exact
    types only when exact is set) or INFINITY, 0 if not, -1 on error.  Inline,
@@ -92,7 +107,7 @@ image(PyObject *other, int exact, double *out)
 }
 
 static PyObject *
-absinf_richcompare(PyObject *self, PyObject *other, int op)
+absinf_richcompare(PyObject *Py_UNUSED(self), PyObject *other, int op)
 {
     double value;
     int found = image(other, op != Py_EQ && op != Py_NE, &value);
@@ -114,7 +129,7 @@ absinf_richcompare(PyObject *self, PyObject *other, int op)
 }
 
 static Py_hash_t
-absinf_hash(PyObject *self)
+absinf_hash(PyObject *Py_UNUSED(self))
 {
     return inf_hash;
 }
@@ -135,7 +150,7 @@ plain_weight(PyObject *weight)
    whose targets is an exact str key of graph and each of whose weights is
    plain; False otherwise. */
 static PyObject *
-plain_graph(PyObject *module, PyObject *graph)
+plain_graph(PyObject *Py_UNUSED(module), PyObject *graph)
 {
     PyObject *node, *neighbors, *target, *weight;
     Py_ssize_t i = 0, j;
@@ -162,11 +177,251 @@ plain_graph(PyObject *module, PyObject *graph)
     Py_RETURN_TRUE;
 }
 
+/* The node ids of one document: an open-addressing table keyed by an id's
+   raw bytes in the text, each slot holding the one str made for them. */
+typedef struct {
+    const Py_UCS1 *bytes;
+    Py_ssize_t size;
+    size_t hash;
+    PyObject *id; /* NULL in an empty slot */
+} id_slot;
+
+typedef struct {
+    id_slot *slots;
+    size_t mask; /* slot count - 1; the count is a power of two */
+    size_t used;
+} id_table;
+
+#define ID_TABLE_SLOTS 64
+#define FNV_OFFSET 0xCBF29CE484222325ULL
+#define FNV_PRIME 0x100000001B3ULL
+
+static id_slot *
+id_slot_for(id_slot *slots, size_t mask, const Py_UCS1 *bytes, Py_ssize_t size, size_t hash)
+{
+    size_t i = hash & mask;
+    while (slots[i].id != NULL
+           && !(slots[i].hash == hash && slots[i].size == size
+                && memcmp(slots[i].bytes, bytes, size) == 0))
+        i = (i + 1) & mask;
+    return &slots[i];
+}
+
+/* The str of the id whose bytes (FNV-1a hash) are given, made on its first
+   occurrence: borrowed from the table, or NULL with an error set. */
+static PyObject *
+intern_id(id_table *table, const Py_UCS1 *bytes, Py_ssize_t size, size_t hash)
+{
+    id_slot *slot = id_slot_for(table->slots, table->mask, bytes, size, hash);
+    if (slot->id != NULL)
+        return slot->id;
+    PyObject *id = PyUnicode_FromKindAndData(PyUnicode_1BYTE_KIND, bytes, size);
+    if (id == NULL)
+        return NULL;
+    *slot = (id_slot){bytes, size, hash, id};
+    if (2 * ++table->used > table->mask) { /* at most half full */
+        size_t mask = 2 * table->mask + 1;
+        id_slot *slots = PyMem_Calloc(mask + 1, sizeof(id_slot));
+        if (slots == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        for (size_t i = 0; i <= table->mask; i++) {
+            id_slot *old = &table->slots[i];
+            if (old->id != NULL)
+                *id_slot_for(slots, mask, old->bytes, old->size, old->hash) = *old;
+        }
+        PyMem_Free(table->slots);
+        table->slots = slots;
+        table->mask = mask;
+    }
+    return id;
+}
+
+static void
+free_id_table(id_table *table)
+{
+    for (size_t i = 0; table->slots != NULL && i <= table->mask; i++)
+        Py_XDECREF(table->slots[i].id);
+    PyMem_Free(table->slots);
+}
+
+#define IS_SPACE(c) ((c) == ' ' || (c) == '\t' || (c) == '\n' || (c) == '\r')
+#define IS_DIGIT(c) ((c) >= '0' && (c) <= '9')
+
+static inline const Py_UCS1 *
+skip_space(const Py_UCS1 *p, const Py_UCS1 *end)
+{
+    while (p < end && IS_SPACE(*p))
+        p++;
+    return p;
+}
+
+/* The id of the key at *cursor, past which and its ":" *cursor moves:
+   borrowed, or NULL, with an error set or without one to look closer. */
+static PyObject *
+read_key(id_table *ids, const Py_UCS1 **cursor, const Py_UCS1 *end)
+{
+    const Py_UCS1 *p = *cursor, *start;
+    size_t hash = FNV_OFFSET;
+    if (p == end || *p != '"')
+        return NULL;
+    for (start = ++p; p < end && *p != '"'; p++) {
+        if (*p == '\\' || *p < 0x20)
+            return NULL;
+        hash = (hash ^ *p) * FNV_PRIME;
+    }
+    if (p == end)
+        return NULL;
+    const Py_UCS1 *colon = skip_space(p + 1, end);
+    if (colon == end || *colon != ':')
+        return NULL;
+    *cursor = skip_space(colon + 1, end);
+    return intern_id(ids, start, p - start, hash);
+}
+
+/* The weight at *cursor, past which *cursor moves: a new int of at most 18
+   digits, a new finite float, or NULL, with an error set or without one to
+   look closer. */
+static PyObject *
+read_number(const Py_UCS1 **cursor, const Py_UCS1 *end)
+{
+    const Py_UCS1 *start = *cursor, *p = start;
+    unsigned long long value = 0;
+    int fraction = 0;
+    if (p == end || !IS_DIGIT(*p))
+        return NULL;
+    if (*p == '0')
+        p++;
+    else
+        for (; p < end && IS_DIGIT(*p); p++)
+            value = 10 * value + (*p - '0'); /* wraps past 20 digits, unread then */
+    if (p < end && *p == '.') {
+        if (++p == end || !IS_DIGIT(*p))
+            return NULL;
+        while (p < end && IS_DIGIT(*p))
+            p++;
+        fraction = 1;
+    }
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        if (++p < end && (*p == '+' || *p == '-'))
+            p++;
+        if (p == end || !IS_DIGIT(*p))
+            return NULL;
+        while (p < end && IS_DIGIT(*p))
+            p++;
+        fraction = 1;
+    }
+    *cursor = p;
+    if (!fraction)
+        return p - start > 18 ? NULL : PyLong_FromLongLong((long long)value);
+    /* The text's data ends in a NUL, and the token is a whole float literal,
+       so the conversion stops at p, and gives the float json.loads gives. */
+    char *parsed;
+    double number = PyOS_string_to_double((const char *)start, &parsed, NULL);
+    if ((number == -1.0 && PyErr_Occurred()) || (const Py_UCS1 *)parsed != p
+        || !isfinite(number))
+        return NULL;
+    return PyFloat_FromDouble(number);
+}
+
+/* One step past an object's member at *cursor: 1 after a ",", 0 after the
+   object's closing "}", -1 to look closer. */
+static inline int
+next_member(const Py_UCS1 **cursor, const Py_UCS1 *end)
+{
+    const Py_UCS1 *p = skip_space(*cursor, end);
+    if (p == end || (*p != ',' && *p != '}'))
+        return -1;
+    *cursor = skip_space(p + 1, end);
+    return *p == ',';
+}
+
+/* The dict json.loads(text) builds, for an exact str of the 1-byte kind
+   holding an object of objects of numbers that plain_graph passes; None to
+   look closer. */
+static PyObject *
+parse_plain_graph(PyObject *module, PyObject *text)
+{
+    if (!PyUnicode_CheckExact(text) || PyUnicode_READY(text) < 0
+        || PyUnicode_KIND(text) != PyUnicode_1BYTE_KIND) {
+        if (PyErr_Occurred())
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    const Py_UCS1 *p = PyUnicode_1BYTE_DATA(text), *end = p + PyUnicode_GET_LENGTH(text);
+    id_table ids = {PyMem_Calloc(ID_TABLE_SLOTS, sizeof(id_slot)), ID_TABLE_SLOTS - 1, 0};
+    PyObject *graph = PyDict_New(), *result = NULL;
+    if (ids.slots == NULL || graph == NULL) {
+        if (ids.slots == NULL)
+            PyErr_NoMemory();
+        goto done;
+    }
+    p = skip_space(p, end);
+    if (p == end || *p != '{')
+        goto look_closer;
+    p = skip_space(p + 1, end);
+    int more = p < end && *p == '}' ? (p++, 0) : 1;
+    while (more) {
+        PyObject *node = read_key(&ids, &p, end);
+        if (node == NULL)
+            goto look_closer_or_fail;
+        if (p == end || *p != '{')
+            goto look_closer;
+        p = skip_space(p + 1, end);
+        /* The graph holds the adjacency from the start, so a refusal part of
+           the way through frees it with the graph. */
+        PyObject *neighbors = PyDict_New();
+        Py_ssize_t nodes = PyDict_GET_SIZE(graph);
+        int failed = neighbors == NULL || PyDict_SetItem(graph, node, neighbors) < 0;
+        Py_XDECREF(neighbors);
+        if (failed)
+            goto done;
+        if (PyDict_GET_SIZE(graph) == nodes) /* a duplicate node */
+            goto look_closer;
+        int edges_left = p < end && *p == '}' ? (p++, 0) : 1;
+        while (edges_left) {
+            PyObject *target = read_key(&ids, &p, end);
+            PyObject *weight = target == NULL ? NULL : read_number(&p, end);
+            if (weight == NULL)
+                goto look_closer_or_fail;
+            Py_ssize_t edges = PyDict_GET_SIZE(neighbors);
+            failed = PyDict_SetItem(neighbors, target, weight) < 0;
+            Py_DECREF(weight);
+            if (failed)
+                goto done;
+            if (PyDict_GET_SIZE(neighbors) == edges) /* a duplicate edge */
+                goto look_closer;
+            if ((edges_left = next_member(&p, end)) < 0)
+                goto look_closer;
+        }
+        if ((more = next_member(&p, end)) < 0)
+            goto look_closer;
+    }
+    if (skip_space(p, end) != end) /* trailing data */
+        goto look_closer;
+    result = plain_graph(module, graph);
+    if (result == Py_True)
+        Py_SETREF(result, Py_NewRef(graph));
+    else if (result == Py_False)
+        goto look_closer;
+    goto done;
+look_closer_or_fail:
+    if (PyErr_Occurred())
+        goto done;
+look_closer:
+    Py_XSETREF(result, Py_NewRef(Py_None));
+done:
+    Py_XDECREF(graph);
+    free_id_table(&ids);
+    return result;
+}
+
 /* True if every adjacency of graph is an exact dict and each of its weights
    an exact int or float, whatever its value: emit_graph's loop then finds
    nothing.  False otherwise. */
 static PyObject *
-plain_weights(PyObject *module, PyObject *graph)
+plain_weights(PyObject *Py_UNUSED(module), PyObject *graph)
 {
     PyObject *node, *neighbors, *target, *weight;
     Py_ssize_t i = 0, j;
@@ -246,7 +501,7 @@ finite_weight(PyObject *value)
 /* True after converting every value of distances in place, False with
    distances untouched when a key or value needs the Python loop. */
 static PyObject *
-from_search(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+from_search(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 4) {
         PyErr_Format(PyExc_TypeError,
@@ -294,7 +549,7 @@ from_search(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 /* The mixed block of outputs 1 to BLOCK steps past state, laid out as
    generators._mix_lanes returns it. */
 static PyObject *
-splitmix_block(PyObject *module, PyObject *state_arg)
+splitmix_block(PyObject *Py_UNUSED(module), PyObject *state_arg)
 {
     unsigned long long state = PyLong_AsUnsignedLongLong(state_arg);
     if (state == (unsigned long long)-1 && PyErr_Occurred())
@@ -322,6 +577,11 @@ static PyMethodDef absinf_functions[] = {
      "plain_graph(graph) -> bool\n\nTrue only if graphs.validate(graph) would find nothing: exact\n"
      "dict, str, int and float types, every target a node, every weight\n"
      "finite and non-negative.  False means look closer."},
+    {"parse_plain_graph", parse_plain_graph, METH_O,
+     "parse_plain_graph(text) -> dict or None\n\nThe graph json.loads(text) builds, when text is an exact str of\n"
+     "latin-1 characters holding an object of objects of unsigned numbers,\n"
+     "with no escape, duplicate key or trailing data, that plain_graph\n"
+     "passes; each distinct node id is one str.  None means look closer."},
     {"plain_weights", plain_weights, METH_O,
      "plain_weights(graph) -> bool\n\nTrue only if graph and each adjacency are exact dicts and every\n"
      "weight is an exact int or float.  False means look closer."},
@@ -353,7 +613,7 @@ static struct PyModuleDef absinf_module = {
     PyModuleDef_HEAD_INIT, "_absinf",
     "The C comparisons of extinf's INFINITY, its search conversion, its graph checks\n"
     "and its SplitMix64 mixing.", -1,
-    absinf_functions,
+    absinf_functions, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC

@@ -1,6 +1,7 @@
 """Build and load ``_absinf.c`` on first import: INFINITY's comparisons in C,
 the conversion of a search's distance map to weights, the one-pass checks
-that ``graphs`` runs before its loops and the mixing of ``generators``'
+that ``graphs`` runs before its loops, the one-pass decoder that
+``parse_graph`` tries before ``json`` and the mixing of ``generators``'
 SplitMix64 blocks.
 
 The extension lives in the package's bytecode cache (``__pycache__``, or
@@ -14,8 +15,8 @@ temporary file moved into place by ``os.replace`` and removes the
 interpreter's older builds.  ``-B`` does not stop a build: it governs
 bytecode, and the extension is not bytecode.  Whatever fails, ``load`` says
 why instead of raising, ``weights`` keeps its Python comparisons and
-conversion loop, ``graphs`` its Python loops alone and ``generators`` its
-lane arithmetic.
+conversion loop, ``graphs`` ``json.loads`` and its Python loops alone,
+and ``generators`` its lane arithmetic.
 """
 
 import _imp

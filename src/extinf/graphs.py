@@ -18,17 +18,26 @@ to it; ``generators`` uses it for explicit weights.  ``parse_graph`` raises
 on malformed JSON, a non-object document or adjacency, a duplicate key, then
 ``validate``'s first violation, in that order; only ``validate`` and
 ``emit_graph`` walk a graph's edges in Python.  A search never reads or
-writes JSON, so ``json`` loads on first use.
+writes JSON, so ``json`` loads on first use: the first ``emit_graph``, or
+the first ``parse_graph`` of a text that the C decoder below refuses.
 
 Before those loops run, the C extension that also holds INFINITY's
 comparisons (``_absinf.c``) checks a plain graph in one pass:
 ``_plain_graph(graph)`` is True only when ``validate(graph)`` would find
-nothing; then ``validate`` skips its loop and ``parse_graph`` returns the
-decoded document.  ``emit_graph`` only needs every weight to be a number, so
-it asks the lighter ``_plain_weights(graph)``, which tests the weights' exact
-types and looks up no target.  False means "look closer": the loops run and
-word every problem.  Without the extension both checks always say False and
-the loops run.
+nothing; then ``validate`` skips its loop.  ``emit_graph`` only needs every
+weight to be a number, so it asks the lighter ``_plain_weights(graph)``,
+which tests the weights' exact types and looks up no target.  False means
+"look closer": the loops run and word every problem.
+
+``parse_graph`` first hands its text to ``_parse_plain(text)``, which
+decodes a plain document in one C pass: an exact ``str`` of latin-1
+characters holding an object of objects of unsigned numbers, with no
+escape, duplicate key or trailing data, whose graph ``_plain_graph`` passes.
+It returns the dict that ``json.loads`` would build, each distinct node id
+one ``str`` object as with ``json``'s key memo, or None to look closer; then
+``json.loads`` and the checks of ``parse_graph`` run, the rule and the only
+place its errors are worded.  Without the extension the checks always say
+False, the decoder None, and the loops run.
 """
 
 import itertools
@@ -51,6 +60,7 @@ __all__ = [
 
 _plain_graph = (lambda graph: False) if _absinf is None else _absinf.plain_graph
 _plain_weights = (lambda graph: False) if _absinf is None else _absinf.plain_weights
+_parse_plain = (lambda text: None) if _absinf is None else _absinf.parse_plain_graph
 
 
 class GraphParseError(ValueError):
@@ -97,7 +107,14 @@ def parse_graph(text: str) -> dict:
     document or adjacency, a duplicate key, ``validate``'s first violation.
     Edge targets missing from the key set are auto-added with empty adjacency
     and, if the graph is then valid, reported via DanglingTargetWarning.
+
+    A plain document is decoded in one C pass (see the module docstring);
+    every other text goes through ``json.loads`` and the checks below, which
+    are the rule and word every error.
     """
+    graph = _parse_plain(text)
+    if graph is not None:
+        return graph
     import json
 
     try:
@@ -105,17 +122,13 @@ def parse_graph(text: str) -> dict:
     # JSONDecodeError, an int literal past int_max_str_digits, or nesting too deep
     except (ValueError, RecursionError) as exc:
         raise GraphParseError(f"malformed JSON: {exc}") from None
-    plain = _plain_graph(doc)
-    if not plain:
-        if not isinstance(doc, dict):
+    if not isinstance(doc, dict):
+        raise GraphParseError(f"graph document must be a JSON object, got {type(doc).__name__}")
+    for node, neighbors in doc.items():
+        if not isinstance(neighbors, dict):
             raise GraphParseError(
-                f"graph document must be a JSON object, got {type(doc).__name__}"
+                f"adjacency of node {node!r} must be an object, got {type(neighbors).__name__}"
             )
-        for node, neighbors in doc.items():
-            if not isinstance(neighbors, dict):
-                raise GraphParseError(
-                    f"adjacency of node {node!r} must be an object, got {type(neighbors).__name__}"
-                )
     # json.loads keeps the last of duplicate keys.  Each member of the document
     # and of an adjacency has its own ":", and any other ":" (in a string, in a
     # non-number weight, or a 0x3A byte of encoded text) only adds to the count,
@@ -131,8 +144,6 @@ def parse_graph(text: str) -> dict:
                     where = f"node {key!r}" if node is None else f"edge {node!r} -> {key!r}"
                     raise GraphParseError(f"{where} appears more than once")
                 seen.add(key)
-    if plain:  # every target is a node
-        return doc
     graph = doc  # json.loads built every dict afresh, so the graph owns them
     dangling = sorted(set(itertools.chain.from_iterable(graph.values())) - graph.keys())
     for target in dangling:

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -39,16 +40,18 @@ from extinf.weights import SENTINEL_COMPARISONS, canonical_number
 
 
 def _look_closer(patch):
-    """Make both C checks answer "look closer" to every graph, as they do
-    without the extension."""
+    """Make both C checks and the C decoder answer "look closer" to every
+    graph and text, as they do without the extension."""
     patch.setattr(graphs, "_plain_graph", lambda graph: False)
     patch.setattr(graphs, "_plain_weights", lambda graph: False)
+    patch.setattr(graphs, "_parse_plain", lambda text: None)
 
 
 def _also_looking_closer(cls):
     """cls with every test run twice: with the C checks of plain graphs and
-    of weight types as loaded, then with them answering "look closer" to
-    every graph, so the Python loops word every problem in-process too.
+    of weight types and the C decoder as loaded, then with them answering
+    "look closer" to every graph and text, so json.loads and the Python
+    loops word every problem in-process too.
     Test ids stay as they are, and a Hypothesis test runs both ways on each
     example."""
 
@@ -614,9 +617,121 @@ def _loop_ran(*args):
     raise AssertionError("a Python loop ran")
 
 
+# Ids over a small alphabet, so that repeats and dangling targets are common,
+# latin-1 ones beside ones of the 2- and 4-byte kinds.
+_text_ids = st.one_of(
+    st.sampled_from(["A", "B", "\u00e9", ":", "\x1f", "\x7f", "\u0100", "\U0001f600"]),
+    st.text(st.characters(max_codepoint=0xFF), max_size=2),
+    st.text(max_size=2),
+)
+_text_weights = st.one_of(
+    st.integers(0, 10**20),
+    st.floats(min_value=0.0),
+    st.sampled_from([-0.0, math.nan, math.inf, -1, 10**19, 10**18 - 1]),
+)
+# Tokens outside the decoder's subset or at its edges.
+_odd_numbers = ["-1", "-0", "-0.0", "1e5", "1E-400", "1e400", "NaN", "Infinity", "01", "1."] + [
+    "0e0", "123456789012345678", "1234567890123456789", "12345678901234567890"
+]
+_odd_keys = ['"\x1f"', '"\\u0041"', '"\u00e9"', '"\u0100"', '"\U0001f600"', '""']
+_odd_marks = ["", "-", "\\", "}", "{", ",", ":", '"', "[", " ", "\u0100", "\x00"]
+# Weights as written: json.dumps' own, and what it never writes.
+_weight_tokens = st.one_of(
+    _text_weights.map(json.dumps),
+    st.sampled_from(_odd_numbers + ["0.5E+3", "true", "null", '"1"', "{}"]),
+)
+_spaces = st.sampled_from(["", " ", "\n  ", "\r\n", "\t", " \r\t\n"])
+
+
+@st.composite
+def _written_documents(draw):
+    """Graph documents written member by member, duplicates kept, with any
+    JSON whitespace, and keys as json.dumps writes them, \\u-escaped or raw."""
+    members = draw(
+        st.lists(
+            st.tuples(_text_ids, st.lists(st.tuples(_text_ids, _weight_tokens), max_size=3)),
+            max_size=4,
+        )
+    )
+    if draw(st.booleans()):  # close it, as a decodable document must be
+        nodes = {node for node, _ in members}
+        targets = (t for _, adjacency in members for t, _ in adjacency)
+        members += [(t, []) for t in dict.fromkeys(targets) if t not in nodes]
+    ensure_ascii = draw(st.booleans())
+
+    def key(k):
+        way = draw(st.sampled_from(["dumps", "escaped", "raw"]))
+        if way == "escaped":
+            return _key_text(k, escape_all=True)
+        if way == "raw" and '"' not in k and "\\" not in k:  # control characters too
+            return f'"{k}"'
+        return json.dumps(k, ensure_ascii=ensure_ascii)
+
+    def obj(pairs, value_text):
+        written = (
+            f"{draw(_spaces)}{key(k)}{draw(_spaces)}:{draw(_spaces)}{value_text(v)}"
+            for k, v in pairs
+        )
+        return "{" + ",".join(written) + draw(_spaces) + "}"
+
+    return draw(_spaces) + obj(members, lambda adjacency: obj(adjacency, str)) + draw(_spaces)
+
+
+def _closed(graph):
+    closed = dict(graph)
+    for neighbors in graph.values():
+        for target in neighbors:
+            closed.setdefault(target, {})
+    return closed
+
+
+_dumped_documents = st.builds(
+    json.dumps,
+    st.dictionaries(_text_ids, st.dictionaries(_text_ids, _text_weights, max_size=3), max_size=4)
+    | st.dictionaries(_text_ids, st.dictionaries(_text_ids, st.integers(0, 9), max_size=3)).map(
+        _closed
+    ),
+    indent=st.sampled_from([None, 0, 2, "\t", "\r\n"]),
+    separators=st.sampled_from([None, (",", ":"), (", ", ": "), (",\n", " :\t")]),
+    ensure_ascii=st.booleans(),
+)
+_emitted_documents = small_graphs().map(_closed).map(emit_graph)
+_documents = st.one_of(_emitted_documents, _dumped_documents, _written_documents())
+
+# JSON tokens: strings, numbers, punctuation, runs of whitespace, words.
+_json_tokens = re.compile(r'"(?:[^"\\]|\\.)*"|[-+.\w]+|\s+|.', re.DOTALL)
+
+
+@st.composite
+def _one_token_mutations(draw):
+    """A document, emitted half the time, with one number replaced by an odd
+    one, one id renamed to an odd one wherever it occurs, or one token
+    replaced by an odd mark, by itself twice or by another of its tokens."""
+    tokens = _json_tokens.findall(draw(st.one_of(_emitted_documents, _documents)))
+    numbers = [i for i, token in enumerate(tokens) if token[0].isdigit()]
+    keys = sorted({token for token in tokens if token.startswith('"')})
+    way = draw(st.sampled_from(["number", "key", "any"]))
+    if way == "number" and numbers:
+        tokens[draw(st.sampled_from(numbers))] = draw(st.sampled_from(_odd_numbers))
+    elif way == "key" and keys:
+        key, odd = draw(st.sampled_from(keys)), draw(st.sampled_from(_odd_keys))
+        tokens = [odd if token == key else token for token in tokens]
+    elif tokens:
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = draw(st.sampled_from(_odd_marks + [tokens[i] * 2] + tokens))
+    return "".join(tokens)
+
+
+_parse_texts = st.one_of(
+    _documents,
+    _one_token_mutations(),
+    st.tuples(st.sampled_from([str.encode, _Str]), _documents).map(lambda pair: pair[0](pair[1])),
+)
+
+
 class TestPlainCheck:
-    """The C checks of plain graphs and of weight types change no answer,
-    and plain graphs take them."""
+    """The C checks of plain graphs and of weight types and the C decoder
+    change no answer, and plain graphs and their texts take them."""
 
     @given(_any_graphs)
     @settings(max_examples=300)
@@ -630,13 +745,79 @@ class TestPlainCheck:
         on, off = _outcomes_on_and_off((parse_graph,), text)
         assert on == off
 
+    @given(_parse_texts)
+    @settings(max_examples=1000)
+    def test_decoder_agrees_with_json_loads(self, text):
+        # The outcome is a graph's layout: key order, types and target identity.
+        on = cross_check.text_outcome(text)
+        with pytest.MonkeyPatch.context() as patch:
+            _look_closer(patch)
+            off = cross_check.text_outcome(text)
+        assert on == off
+        graph = graphs._parse_plain(text)
+        if graph is not None:
+            keys = {node: node for node in graph}
+            assert all(keys[target] is target for adj in graph.values() for target in adj)
+
+    def test_cross_check_text_table_catches_a_wrong_answer(self, monkeypatch):
+        assert cross_check.plain_texts_problems()[0] == []
+        decoder = graphs._parse_plain
+        duplicates = {text for label, text, _ in cross_check.PLAIN_TEXTS if "duplicate" in label}
+
+        def lenient(text):  # keeps the last of duplicate keys, as json.loads does
+            return json.loads(text) if text in duplicates else decoder(text)
+
+        monkeypatch.setattr(graphs, "_parse_plain", lenient)
+        problems, answers = cross_check.plain_texts_problems()
+        native = SENTINEL_COMPARISONS == "c"
+        assert answers["duplicate node"] is (True if native else None)
+        for label in ("duplicate node", "duplicate edge"):
+            assert f"parse_graph({label}) changed with the decoder on" in problems
+            assert f"parse_plain_graph({label}) took the text" in problems
+        assert len(problems) == 4
+
+    @pytest.mark.skipif(SENTINEL_COMPARISONS != "c", reason="the C extension is not loaded")
+    def test_repeated_decoding_leaks_nothing(self):
+        # One text it takes, then ones it refuses part of the way through,
+        # after interning ids: an escape, an infinite weight, a duplicate
+        # edge, and a missing target that only plain_graph refuses.
+        texts = [
+            '{"A": {"B": 1, "CD": 2.5}, "B": {"A": 3}, "CD": {}}',
+            '{"A": {"B": 1, "CD": 2.5}, "B": {"A": 3}, "CD": {"\\u0041": 1}}',
+            '{"A": {"B": 1, "CD": 2.5}, "B": {"A": 1e400}, "CD": {}}',
+            '{"A": {"B": 1, "CD": 2.5, "B": 2}, "B": {}, "CD": {}}',
+            '{"A": {"B": 1, "CD": 2.5}, "B": {"A": 3}}',
+        ]
+        decode = graphs._absinf.parse_plain_graph
+        assert [decode(text) is not None for text in texts] == [True] + [False] * 4
+        counted = ("A", "B")  # one-character latin-1 strs are shared
+
+        def decode_all(times):
+            for _ in range(times):
+                for text in texts:
+                    decode(text)
+
+        decode_all(100)
+        tracemalloc.start()
+        try:
+            decode_all(100)
+            size = tracemalloc.get_traced_memory()[0]
+            refcounts = list(map(sys.getrefcount, counted))
+            decode_all(2_000)
+            grown = tracemalloc.get_traced_memory()[0] - size
+        finally:
+            tracemalloc.stop()
+        assert list(map(sys.getrefcount, counted)) == refcounts
+        assert grown < 64 * 1024  # one leaked "CD" per text would be 0.5 MB
+
     def test_cross_check_table_catches_a_wrong_answer(self, monkeypatch):
         assert cross_check.plain_graph_problems()[0] == []
         monkeypatch.setattr(graphs, "_plain_graph", lambda graph: True)
         problems, answers = cross_check.plain_graph_problems()
         assert set(answers.values()) == ({True} if SENTINEL_COMPARISONS == "c" else {None})
         assert "validate(missing target) changed with the C check on" in problems
-        assert "parse_graph(missing target) changed with the C check on" in problems
+        # The C decoder refuses a minus sign, so json.loads and validate decide.
+        assert "parse_graph(-1) changed with the C check on" in problems
         assert "plain_graph(IntEnum weight) said True, the loop found []" in problems
 
     @pytest.mark.skipif(SENTINEL_COMPARISONS != "c", reason="the C extension is not loaded")
@@ -662,6 +843,7 @@ class TestPlainCheck:
         # Python wrapper around the check a frame.
         assert graphs._plain_graph is graphs._absinf.plain_graph
         assert graphs._plain_weights is graphs._absinf.plain_weights
+        assert graphs._parse_plain is graphs._absinf.parse_plain_graph
         benchmarked = {kind for kind, _ in cross_check.BENCHMARK_SIZES}
         sizes = [(kind, 100) for kind in KINDS if kind not in benchmarked]
         plain = [fixture(name) for name in FIXTURE_NAMES] + [
@@ -673,8 +855,10 @@ class TestPlainCheck:
             patch.setattr(graphs, "isinstance", _loop_ran, raising=False)
             texts = [emit_graph(graph) for graph in plain]
             assert [validate(graph) for graph in plain] == [[]] * len(plain)
-        # A dropped key or a dangling target is looked for in a set, and the
-        # graph rule is validate's.
+        # The C decoder takes every emitted text: json.loads, the search
+        # for a dropped key or a dangling target (in a set) and validate
+        # never run.
+        monkeypatch.setattr(json, "loads", _loop_ran)
         monkeypatch.setattr(graphs, "set", _loop_ran, raising=False)
         monkeypatch.setattr(graphs, "validate", _loop_ran)
         assert [parse_graph(text) for text in texts] == plain

@@ -27,13 +27,19 @@ It puts this checkout's ``src/`` on the import path and checks:
    loop finds nothing, and ``validate`` gives the loop's answer with the
    check on.  Without the extension the check says False to every graph.
    For each of those graphs that ``json.dumps`` takes, ``parse_graph`` of its
-   text gives the same graph, or exception type and message, and the same
-   warnings with the check on as with it off.
+   text gives the same graph (key order, types and target identity
+   included), or exception type and message, and the same warnings with the
+   C checks and decoder on as with them off.
    The summary reports the check's answer per graph, null where the
    extension did not load.
    For the same graphs, the C check of weight types says True exactly when
    the graph, its adjacencies and its weights are of exact types, and
    ``emit_graph`` gives its Python loop's answer with the check on.
+   For each text of ``PLAIN_TEXTS``, the C decoder of plain documents
+   decodes exactly the texts the table marks, and ``parse_graph`` gives the
+   same outcome and warnings with the decoder on as with it off.  The
+   summary reports per text whether the decoder took it, null where the
+   extension did not load.
 7. ``compare`` and ``add`` over every pair of the weights in ``OPERANDS``
    give the IEEE order and sum of their binary64 images, a sum of +inf
    being ``INFINITY`` itself.
@@ -200,6 +206,30 @@ PLAIN_GRAPHS = (
     ("non-dict graph", [("A", {})], False, False),
     ("empty graph", {}, True, True),
     ("no edges", {"A": {}}, True, True),
+)
+
+# (label, text, whether the C decoder of plain documents takes it): one
+# text it decodes, then one per kind of text it leaves to json.loads.
+PLAIN_TEXTS = (
+    ("plain", ' {"A":{"B":1,"\u00e9":2.5e0},\r\n\t"B":{"A":0}, "\u00e9":{"B":1E-400}}\n', True),
+    ("backslash escape", '{"A": {"\\u0042": 1}, "B": {}}', False),
+    ("control character", '{"A\x1f": {}}', False),
+    ("minus sign", '{"A": {"B": -0}, "B": {}}', False),
+    ("19-digit int", '{"A": {"B": 1000000000000000000}, "B": {}}', False),
+    ("non-finite float", '{"A": {"B": 1e400}, "B": {}}', False),
+    ("NaN", '{"A": {"B": NaN}, "B": {}}', False),
+    ("Infinity", '{"A": {"B": Infinity}, "B": {}}', False),
+    ("array document", "[]", False),
+    ("number adjacency", '{"A": 1}', False),
+    ("object weight", '{"A": {"B": {}}, "B": {}}', False),
+    ("duplicate node", '{"A": {"B": 1}, "B": {}, "A": {}}', False),
+    ("duplicate edge", '{"A": {"B": 1, "B": 2}, "B": {}}', False),
+    ("trailing data", '{"A": {}} {}', False),
+    ("bytes", b'{"A": {}}', False),
+    ("str subclass", _Str('{"A": {}}'), False),
+    ("2-byte kind", '{"\u0100": {}}', False),
+    ("4-byte kind", '{"\U0001f600": {}}', False),
+    ("missing target", '{"A": {"B": 1}}', False),
 )
 
 _BOTH = frozenset(DOMAINS)
@@ -419,31 +449,51 @@ def _outcome(function, *args):
         return ("raised", type(exc), str(exc))
 
 
+def graph_layout(graph):
+    """graph's nodes, edges and weights in order, with their types, and
+    whether each target is its node's key object."""
+    keys = {node: node for node in graph}
+
+    def edge(target, weight):
+        return target, type(target), keys.get(target) is target, type(weight), repr(weight)
+
+    return [(node, type(node), [edge(*e) for e in adj.items()]) for node, adj in graph.items()]
+
+
+def text_outcome(text):
+    """What parse_graph gave on text, a graph by its layout, with the
+    warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = _outcome(parse_graph, text)
+    if outcome[0] == "returned":
+        outcome = ("returned", graph_layout(outcome[1]))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
 def parse_outcome(graph):
-    """What parse_graph gave on graph's JSON text, with the warnings it
-    issued, or None where json.dumps refuses the graph."""
+    """text_outcome of graph's JSON text, or None where json.dumps refuses
+    the graph."""
     try:
         text = json.dumps(graph)
     except (TypeError, ValueError):
         return None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        outcome = _outcome(parse_graph, text)
-    return outcome, [(w.category, str(w.message)) for w in caught]
+    return text_outcome(text)
 
 
 def plain_graph_problems():
     """The problems of the C check of plain graphs, and its answer per graph
     (None without the extension, whose stand-in says False to every graph)."""
-    check = graphs._plain_graph
+    check, decoder = graphs._plain_graph, graphs._parse_plain
     native = SENTINEL_COMPARISONS == "c"
     answers, problems = {}, []
     for label, graph, exact, _ in PLAIN_GRAPHS:
         graphs._plain_graph = lambda graph: False  # the Python loops alone
+        graphs._parse_plain = lambda text: None
         try:
             loop, parsed = validate(graph), parse_outcome(graph)
         finally:
-            graphs._plain_graph = check
+            graphs._plain_graph, graphs._parse_plain = check, decoder
         if validate(graph) != loop:
             problems.append(f"validate({label}) changed with the C check on")
         if parse_outcome(graph) != parsed:
@@ -474,6 +524,27 @@ def plain_weights_problems():
         answers[label] = answer if native else None
         if answer is not exact_weights and (native or answer is not False):
             problems.append(f"plain_weights({label}) said {answer!r}, emit_graph's loop {loop[0]}")
+    return problems, answers
+
+
+def plain_texts_problems():
+    """The problems of the C decoder of plain documents, and whether it took
+    each text (None without the extension, whose stand-in takes none)."""
+    decoder = graphs._parse_plain
+    native = SENTINEL_COMPARISONS == "c"
+    answers, problems = {}, []
+    for label, text, decoded in PLAIN_TEXTS:
+        graphs._parse_plain = lambda text: None  # json.loads and the checks alone
+        try:
+            rule = text_outcome(text)
+        finally:
+            graphs._parse_plain = decoder
+        if text_outcome(text) != rule:
+            problems.append(f"parse_graph({label}) changed with the decoder on")
+        took = decoder(text) is not None
+        answers[label] = took if native else None
+        if took is not (decoded and native):
+            problems.append(f"parse_plain_graph({label}) {'took' if took else 'refused'} the text")
     return problems, answers
 
 
@@ -565,9 +636,11 @@ def main():
     problems += weight_function_problems()
     plain_problems, plain_answers = plain_graph_problems()
     weights_problems, weights_answers = plain_weights_problems()
+    texts_problems, texts_answers = plain_texts_problems()
     conversion_problems, conversion_answers = from_search_problems()
     splitmix_found, splitmix_answers = splitmix_problems()
-    problems += plain_problems + weights_problems + conversion_problems + splitmix_found
+    problems += plain_problems + weights_problems + texts_problems
+    problems += conversion_problems + splitmix_found
     for problem in problems:
         print(problem)
     print(
@@ -580,6 +653,7 @@ def main():
                 "native_failure": NATIVE_FAILURE,
                 "plain_graphs": plain_answers,
                 "plain_weights": weights_answers,
+                "plain_texts": texts_answers,
                 "from_search": conversion_answers,
                 "splitmix": splitmix_answers,
             }

@@ -1,4 +1,5 @@
-"""Times of ``generate`` and ``emit_graph`` per graph, on any CPython >= 3.10.
+"""Times of ``generate``, ``emit_graph`` and ``parse_graph`` per graph, on any
+CPython >= 3.10.
 
 Stdlib only, so it runs on interpreters that have no pytest::
 
@@ -7,16 +8,16 @@ Stdlib only, so it runs on interpreters that have no pytest::
 It puts this checkout's ``src/`` and ``perfbench/`` on the import path and,
 for the graphs of the README's "Generating and writing" table (seed
 ``SEED``), runs ``ROUNDS`` rounds.  Each round reads
-``perfbench/refspeed.reference_ms()`` once, then times ``generate`` and
-``emit_graph`` once on every graph in turn, so a drift in host speed lands
-on every graph alike.  Each round's times are also scaled by
-``NOMINAL_REF_MS`` over that round's reading, as ``perfbench`` scales its
-own with ``--ref-nominal-ms``, so that runs at different host speeds can
-be set side by side.  Reported per graph and
-function: the median and quartiles of the raw and of the scaled per-call
-times over the rounds, next to the same for the reference loop.  It checks
-nothing: ``tools/cross_check.py`` checks the generated bytes.  The last
-line of output is the whole report as JSON.
+``perfbench/refspeed.reference_ms()`` once, then times ``generate``,
+``emit_graph`` and ``parse_graph`` (of the emitted text) once on every
+graph in turn, so a drift in host speed lands on every graph alike.  Each
+round's times are also scaled by ``NOMINAL_REF_MS`` over that round's
+reading, as ``perfbench`` scales its own with ``--ref-nominal-ms``, so that
+runs at different host speeds can be set side by side.  Reported per graph
+and function: the median and quartiles of the raw and of the scaled
+per-call times over the rounds, next to the same for the reference loop.
+It checks nothing: ``tools/cross_check.py`` checks the generated bytes and
+the parse.  The last line of output is the whole report as JSON.
 """
 
 import json
@@ -30,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from extinf.generators import GeneratorSpec, generate  # noqa: E402
-from extinf.graphs import emit_graph  # noqa: E402
+from extinf.graphs import emit_graph, parse_graph  # noqa: E402
 from refspeed import reference_ms  # noqa: E402
 
 SEED = 12345
@@ -57,10 +58,12 @@ def timings():
     for kind, node_count in TABLE:
         spec = GeneratorSpec(kind, node_count, seed=SEED)
         graph = generate(spec)
+        text = emit_graph(graph)
         timers.append(
             {
                 "generate_ms": _timer(lambda spec=spec: generate(spec)),
                 "emit_graph_ms": _timer(lambda graph=graph: emit_graph(graph)),
+                "parse_graph_ms": _timer(lambda text=text: parse_graph(text)),
             }
         )
     reference = []
@@ -102,8 +105,8 @@ def main():
     print(f"reference loop {_cell(reference)}")
     for row in rows:
         print(f"{row['kind']:14} {row['nodes']:5} nodes")
-        print(f"  generate   {_cells(row['generate_ms'])}")
-        print(f"  emit_graph {_cells(row['emit_graph_ms'])}")
+        for name in ("generate", "emit_graph", "parse_graph"):
+            print(f"  {name:11} {_cells(row[name + '_ms'])}")
     print(json.dumps(report))
     return 0
 
