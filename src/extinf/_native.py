@@ -1,8 +1,13 @@
-"""Build and load ``_absinf.c`` on first import: INFINITY's comparisons in C,
-the conversion of a search's distance map to weights, the one-pass checks
-that ``graphs`` runs before its loops, the one-pass decoder that
-``parse_graph`` tries before ``json`` and the mixing of ``generators``'
-SplitMix64 blocks.
+"""Build and load ``_absinf.c`` on first import, and bind names to it.
+
+``_absinf`` is the extension, or None, and ``FAILURE`` says why it did not
+load.  Its type ``AbsInf`` is INFINITY's first base (see ``weights``); each
+of its functions backs one name of another module, which ``_TABLE`` lists
+with the Python rule it holds without the extension.  ``bind`` is the one
+place that picks either, and on the C path gives the extension's own
+callable, or a ``partial`` over it, which runs no Python frame.
+``python_rules`` puts every rule in place for the length of a ``with``
+block, so that tests and ``tools/cross_check.py`` run both in-process.
 
 The extension lives in the package's bytecode cache (``__pycache__``, or
 under ``sys.pycache_prefix``), in a file named for the source's size and
@@ -14,13 +19,13 @@ in a session of its own that is killed after ``BUILD_TIMEOUT_S``; it writes a
 temporary file moved into place by ``os.replace`` and removes the
 interpreter's older builds.  ``-B`` does not stop a build: it governs
 bytecode, and the extension is not bytecode.  Whatever fails, ``load`` says
-why instead of raising, ``weights`` keeps its Python comparisons and
-conversion loop, ``graphs`` ``json.loads`` and its Python loops alone,
-and ``generators`` its lane arithmetic.
+why instead of raising, and every name of the table holds its rule.
 """
 
 import _imp
 import os
+import sys
+from functools import partial
 
 # importlib.machinery re-exports these; the frozen module is loaded at start-up.
 from _frozen_importlib_external import (
@@ -111,3 +116,44 @@ def _build(target):
             except FileNotFoundError:  # another build removed it first
                 pass
     return None
+
+
+_absinf, FAILURE = load()
+
+# (module, name) -> (the extension's function, the Python rule or its name in
+# the module).  A rule's False or None means "look closer": Python decides.
+_TABLE = {
+    ("extinf.graphs", "_plain_graph"): ("plain_graph", lambda graph: False),
+    ("extinf.graphs", "_plain_weights"): ("plain_weights", lambda graph: False),
+    ("extinf.graphs", "_parse_plain"): ("parse_plain_graph", lambda text: None),
+    ("extinf.shortest_path", "_from_search_in_c"): ("from_search", lambda *args: False),
+    ("extinf.generators", "_splitmix_block"): ("splitmix_block", "_mix_lanes"),
+}
+
+
+def _rule(module, name):
+    rule = _TABLE[module, name][1]
+    return getattr(sys.modules[module], rule) if type(rule) is str else rule
+
+
+def bind(module, name, *args):
+    """What module's name holds: the table's function of the extension, a
+    ``partial`` over args if given, or without the extension the rule."""
+    if _absinf is None:
+        return _rule(module, name)
+    function = getattr(_absinf, _TABLE[module, name][0])
+    return partial(function, *args) if args else function
+
+
+class python_rules:
+    """A ``with`` block in which every name of the table holds its rule; on
+    exit, raised or not, each holds again what it held, a stand-in included."""
+
+    def __enter__(self):
+        self._held = [(module, name, getattr(sys.modules[module], name)) for module, name in _TABLE]
+        for module, name, _ in self._held:
+            setattr(sys.modules[module], name, _rule(module, name))
+
+    def __exit__(self, *exc_info):
+        for module, name, held in self._held:
+            setattr(sys.modules[module], name, held)

@@ -11,11 +11,10 @@ SplitMix64's k-th output is a fixed mix of ``seed + k * gamma mod 2**64``
 OOPSLA 2014), so ``SplitMix64`` mixes 512 outputs at once.  The rule is
 ``_mix_lanes``: 128-bit lanes of one Python int masked back to 64 bits after
 every step so that nothing carries into the next lane, the loops over lanes
-being the int type's C loops.  With the C extension that ``weights`` loads,
-``_absinf.splitmix_block`` returns the same bytes from a plain C loop, and
-``_mix_lanes`` is only the fallback.  ``SplitMix64.randints`` returns exactly
-the values of the same number of ``randint`` calls and leaves the stream on
-the same next output.
+being the int type's C loops; the extension's ``splitmix_block`` returns the
+same bytes from a plain C loop.  ``SplitMix64.randints`` returns exactly the
+values of the same number of ``randint`` calls and leaves the stream on the
+same next output.
 
 The ``_KINDS`` table at the end of the module is the single definition of a
 kind: its builder, its fewest nodes and whether it takes explicit weights.
@@ -29,8 +28,8 @@ from collections import namedtuple
 from functools import cache, lru_cache, partial
 from itertools import compress, filterfalse, islice
 
+from . import _native
 from .graphs import _weight_problem
-from .weights import _absinf
 
 __all__ = ["GeneratorSpec", "KINDS", "SplitMix64", "generate"]
 
@@ -67,8 +66,8 @@ def _mix_lanes(state):
     return z.to_bytes(16 * _BLOCK, sys.byteorder)
 
 
-# state -> its mixed block's bytes, in C when the extension is loaded.
-_splitmix_block = _mix_lanes if _absinf is None else _absinf.splitmix_block
+# state -> its mixed block's bytes.
+_splitmix_block = _native.bind(__name__, "_splitmix_block")
 
 
 @cache
@@ -92,9 +91,7 @@ class SplitMix64:
         self._low = b""  # low byte of each output of the block, first first
 
     def _mix_block(self):
-        """Mix the next block of outputs and return its lanes' bytes: in C
-        (``_absinf.splitmix_block``) when the extension is loaded, else by
-        the lane arithmetic of ``_mix_lanes``, which is the rule."""
+        """Mix the next block of outputs and return its lanes' bytes."""
         state = self._state
         self._state = (state + _BLOCK * _GAMMA) & _MASK64
         return _splitmix_block(state)

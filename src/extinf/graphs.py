@@ -21,10 +21,9 @@ on malformed JSON, a non-object document or adjacency, a duplicate key, then
 writes JSON, so ``json`` loads on first use: the first ``emit_graph``, or
 the first ``parse_graph`` of a text that the C decoder below refuses.
 
-Before those loops run, the C extension that also holds INFINITY's
-comparisons (``_absinf.c``) checks a plain graph in one pass:
-``_plain_graph(graph)`` is True only when ``validate(graph)`` would find
-nothing; then ``validate`` skips its loop.  ``emit_graph`` only needs every
+Before those loops run, the C extension (``_absinf.c``) checks a plain graph
+in one pass: ``_plain_graph(graph)`` is True only when ``validate(graph)``
+would find nothing; then ``validate`` skips its loop.  ``emit_graph`` only needs every
 weight to be a number, so it asks the lighter ``_plain_weights(graph)``,
 which tests the weights' exact types and looks up no target.  False means
 "look closer": the loops run and word every problem.
@@ -36,8 +35,7 @@ escape, duplicate key or trailing data, whose graph ``_plain_graph`` passes.
 It returns the dict that ``json.loads`` would build, each distinct node id
 one ``str`` object as with ``json``'s key memo, or None to look closer; then
 ``json.loads`` and the checks of ``parse_graph`` run, the rule and the only
-place its errors are worded.  Without the extension the checks always say
-False, the decoder None, and the loops run.
+place its errors are worded.
 """
 
 import itertools
@@ -45,7 +43,8 @@ import math
 import warnings
 from operator import concat
 
-from .weights import _ROUNDS_TO_INF, _absinf, canonical_number
+from . import _native
+from .weights import _ROUNDS_TO_INF, canonical_number
 
 __all__ = [
     "DanglingTargetWarning",
@@ -58,9 +57,9 @@ __all__ = [
 ]
 
 
-_plain_graph = (lambda graph: False) if _absinf is None else _absinf.plain_graph
-_plain_weights = (lambda graph: False) if _absinf is None else _absinf.plain_weights
-_parse_plain = (lambda text: None) if _absinf is None else _absinf.parse_plain_graph
+_plain_graph = _native.bind(__name__, "_plain_graph")
+_plain_weights = _native.bind(__name__, "_plain_weights")
+_parse_plain = _native.bind(__name__, "_parse_plain")
 
 
 class GraphParseError(ValueError):

@@ -15,11 +15,12 @@ results.
 import math
 from collections import namedtuple
 
+from . import _native
 from .graphs import InvalidGraphError, validate
 from .weights import (
     INFINITY,
+    ExtendedWeight,
     _from_search,
-    _from_search_in_c,
     canonical_number,
     from_binary64,
     parse_weight,
@@ -39,6 +40,9 @@ __all__ = [
     "get_domain",
     "linear_scan_distances",
 ]
+
+
+_from_search_in_c = _native.bind(__name__, "_from_search_in_c", ExtendedWeight, INFINITY)
 
 
 class UnknownNodeError(LookupError):

@@ -18,10 +18,6 @@ is not an int or a float answers through its own reflected method, and a
 non-number raises the ``TypeError`` that ``float`` or ``int`` gives.
 ``SENTINEL_COMPARISONS`` says which implementation is loaded, ``"c"`` or
 ``"python"``, and ``NATIVE_FAILURE`` why the C one is not, when it is not.
-
-The same extension turns a search's raw distance map into weights in one
-call (``_from_search_in_c``); ``_from_search``'s Python loop holds the rule,
-and is the fallback and the path that words an out-of-domain value's error.
 """
 
 import enum
@@ -29,7 +25,7 @@ import math
 import operator
 from functools import partial
 
-from . import _native
+from ._native import FAILURE as NATIVE_FAILURE, _absinf
 
 __all__ = [
     "Ordering",
@@ -153,8 +149,6 @@ class ExtendedWeight:
     __radd__ = __add__
 
 
-# graphs takes its check of plain graphs from this one load too.
-_absinf, NATIVE_FAILURE = _native.load()
 SENTINEL_COMPARISONS = "python" if _absinf is None else "c"
 _INFINITY_BASES = (ExtendedWeight,) if _absinf is None else (_absinf.AbsInf, ExtendedWeight)
 
@@ -255,9 +249,9 @@ def _from_search(distances: dict, infinity) -> dict:
     allocated and filled here without that call; any other value goes
     through ``ExtendedWeight``, which raises for one outside the domain.
     This loop is the conversion's rule and its error path.  ``dijkstra``
-    first hands the map to ``_from_search_in_c``, which converts it the same
-    way in one C call (exact ints and floats in range, exact str nodes), or
-    says False and leaves it untouched, and then this loop runs.
+    first hands the map to the extension's ``from_search``, which converts it
+    the same way in one C call (exact ints and floats in range, exact str
+    nodes), or says False and leaves it untouched, and then this loop runs.
     """
     new = object.__new__
     for node, value in distances.items():
@@ -270,15 +264,6 @@ def _from_search(distances: dict, infinity) -> dict:
         else:
             distances[node] = ExtendedWeight(value)
     return distances
-
-
-# (distances, infinity) -> True once the map is converted in place, False
-# ("look closer") with it untouched; without the extension always False.
-_from_search_in_c = (
-    (lambda distances, infinity: False)
-    if _absinf is None
-    else partial(_absinf.from_search, ExtendedWeight, INFINITY)
-)
 
 
 def canonical_number(x: float):

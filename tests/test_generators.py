@@ -1,6 +1,5 @@
 """Seeded generators: determinism, validation, and category structure."""
 
-import functools
 import json
 import os
 import re
@@ -14,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cross_check
+from conftest import also_on_python_rules, needs_c
 from extinf import generators
 from extinf.fixtures import CATEGORIES, fixture
 from extinf.generators import _BLOCK, KINDS, GeneratorSpec, SplitMix64, generate
 from extinf.graphs import emit_graph, validate
-from extinf.weights import SENTINEL_COMPARISONS
 from helpers import CATEGORY_PREDICATES
 
 # Node counts that satisfy every kind's minimum (grid needs perfect squares).
@@ -59,21 +58,6 @@ def test_splitmix64_empty_range_is_an_error():
     assert rng.randints(5, 4, 0) == []
 
 
-def _also_mixing_lanes(test):
-    """test run twice: with the block mixer as loaded, then with the lane
-    arithmetic in its place, so the fallback is tested in-process too.  Test
-    ids stay as they are; under ``given``, each example runs both ways."""
-
-    @functools.wraps(test)
-    def run(*args, **kwargs):
-        test(*args, **kwargs)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(generators, "_splitmix_block", generators._mix_lanes)
-            test(*args, **kwargs)
-
-    return run
-
-
 def _mix_lanes_shifting_32(state):
     """The lane arithmetic with its last xor-shift 32 bits, not 31."""
     ones, steps, mask = generators._lane_constants()
@@ -89,19 +73,18 @@ def test_cross_check_splitmix_table_catches_a_wrong_answer(monkeypatch):
     problems, answers = cross_check.splitmix_problems()
     assert "splitmix_block(0) differs from the lane arithmetic" in problems
     assert "splitmix_block(2**64-1) differs from the lane arithmetic" in problems
-    if SENTINEL_COMPARISONS == "c":
+    if cross_check.NATIVE:
         assert "splitmix_block(-1) raised None, not OverflowError" in problems
     else:
         assert set(answers.values()) == {None}
 
 
-@pytest.mark.skipif(SENTINEL_COMPARISONS != "c", reason="the C extension is not loaded")
+@needs_c
 def test_benchmark_graphs_are_mixed_in_c(monkeypatch):
     # A silent miss would put the lane arithmetic back into every set-up.
     def lanes_ran():
         raise AssertionError("the lane arithmetic ran")
 
-    assert generators._splitmix_block is generators._absinf.splitmix_block
     monkeypatch.setattr(generators, "_lane_constants", lanes_ran)
     for kind, node_count in cross_check.BENCHMARK_SIZES:
         generate(GeneratorSpec(kind, node_count, seed=12345))
@@ -139,7 +122,7 @@ STREAM_SEEDS = (0, 1, 2**63, 2**64 - 1)
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
-@_also_mixing_lanes
+@also_on_python_rules
 def test_block_stream_matches_scalar_splitmix64(seed):
     # 2,000 outputs cross three boundaries between blocks of 512 outputs.
     rng, reference = SplitMix64(seed), _ScalarSplitMix64(seed)
@@ -147,7 +130,7 @@ def test_block_stream_matches_scalar_splitmix64(seed):
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
-@_also_mixing_lanes
+@also_on_python_rules
 def test_randint_draws_match_scalar_splitmix64(seed):
     spans = (1, 2, 10, 2**64, 2**64 + 1, 2**70)
     rng, reference = SplitMix64(seed), _ScalarSplitMix64(seed)
@@ -166,7 +149,7 @@ RANDINTS_SPANS = (1, 4, 10, 255, 256, 257, 2**64, 2**64 + 1)
 # Spans of every mask width from 1 to 8 bits, with both ends of some widths.
 @pytest.mark.parametrize("span", (1, 2, 3, 4, 7, 10, 20, 40, 100, 129, 200, 255))
 @pytest.mark.parametrize("read_first", (0, 5))
-@_also_mixing_lanes
+@also_on_python_rules
 def test_randints_matches_randint_at_every_count(span, read_first):
     # Besides the first few counts, the counts that end the call on the last
     # accepted output of the first or second block, and one either side.  A
@@ -198,7 +181,7 @@ _randint_steps = st.one_of(
 
 @given(st.integers(0, 2**64 - 1), st.lists(_randint_steps, max_size=12))
 @settings(max_examples=150, deadline=None)
-@_also_mixing_lanes
+@also_on_python_rules
 def test_randints_interleaved_with_other_draws_matches_scalar_splitmix64(seed, steps):
     rng, reference = SplitMix64(seed), _ScalarSplitMix64(seed)
     for step in steps:
@@ -236,12 +219,12 @@ def test_fixture_categories_are_the_generator_kinds():
     assert CATEGORIES == KINDS
 
 
-@_also_mixing_lanes
+@also_on_python_rules
 def test_generated_bytes_are_pinned():
     assert cross_check.golden_digest() == cross_check.GOLDEN_DIGEST
 
 
-@_also_mixing_lanes
+@also_on_python_rules
 def test_benchmark_sized_bytes_are_pinned():
     assert cross_check.benchmark_sized_digest() == cross_check.BENCHMARK_SIZED_DIGEST
 
@@ -310,7 +293,7 @@ def test_every_interpreter_passes_cross_check(tmp_path):
                 comparisons[path][version] = summary["sentinel_comparisons"]
     assert failed == {}
     assert set(comparisons["fallback"].values()) == {"python"}, comparisons
-    if SENTINEL_COMPARISONS == "c":
+    if cross_check.NATIVE:
         assert set(comparisons["built"].values()) == {"c"}, comparisons
 
 

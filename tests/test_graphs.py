@@ -1,7 +1,6 @@
 """Graph model, JSON format, validation, and the bundled fixtures."""
 
 import enum
-import functools
 import json
 import math
 import re
@@ -16,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cross_check
-from conftest import small_graphs
-from extinf import graphs
+from conftest import also_on_python_rules, needs_c, small_graphs
+from extinf import _native, graphs
 from extinf.fixtures import (
     CATEGORY_FIXTURES,
     FIXTURE_NAMES,
@@ -36,42 +35,11 @@ from extinf.graphs import (
     validate,
 )
 from extinf.generators import KINDS, GeneratorSpec, generate
-from extinf.weights import SENTINEL_COMPARISONS, canonical_number
+from extinf.weights import canonical_number
 
 
-def _look_closer(patch):
-    """Make both C checks and the C decoder answer "look closer" to every
-    graph and text, as they do without the extension."""
-    patch.setattr(graphs, "_plain_graph", lambda graph: False)
-    patch.setattr(graphs, "_plain_weights", lambda graph: False)
-    patch.setattr(graphs, "_parse_plain", lambda text: None)
 
-
-def _also_looking_closer(cls):
-    """cls with every test run twice: with the C checks of plain graphs and
-    of weight types and the C decoder as loaded, then with them answering
-    "look closer" to every graph and text, so json.loads and the Python
-    loops word every problem in-process too.
-    Test ids stay as they are, and a Hypothesis test runs both ways on each
-    example."""
-
-    def twice(test):
-        @functools.wraps(test)
-        def run(*args, **kwargs):
-            test(*args, **kwargs)
-            with pytest.MonkeyPatch.context() as patch:
-                _look_closer(patch)
-                test(*args, **kwargs)
-
-        return run
-
-    for name, test in list(vars(cls).items()):
-        if name.startswith("test_"):
-            setattr(cls, name, twice(test))
-    return cls
-
-
-@_also_looking_closer
+@also_on_python_rules
 class TestParse:
     def test_linear_chain_document(self):
         text = '{"A":{"B":2},"B":{"C":3},"C":{"D":1},"D":{}}'
@@ -142,7 +110,7 @@ class TestParse:
                 parse_graph('{"A":{"B":-1,"C":1}}')
 
 
-@_also_looking_closer
+@also_on_python_rules
 class TestEmit:
     def test_empty(self):
         assert parse_graph(emit_graph({})) == {}
@@ -259,7 +227,7 @@ class TestEmitMatchesIndentEncoder:
         assert emit_graph(graph) == _indent_reference(graph)
 
 
-@_also_looking_closer
+@also_on_python_rules
 class TestValidate:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixtures_are_valid(self, name):
@@ -368,7 +336,7 @@ def _check_against_reference(weights):
     _assert_parse_matches(text, list(json.loads(text)["A"].values()))
 
 
-@_also_looking_closer
+@also_on_python_rules
 class TestWeightChecks:
     """validate accepts a plain weight inline and hands every other weight to
     _check_weight; it, and parse_graph through it, must agree with
@@ -413,7 +381,7 @@ def _json_ish_texts(draw):
     return text[:start] + draw(st.text(max_size=3)) + text[end:]
 
 
-@_also_looking_closer
+@also_on_python_rules
 class TestParseFuzzed:
     """Any text yields a valid graph or GraphParseError, nothing else."""
 
@@ -458,7 +426,7 @@ def _first_repeat(keys):
     return next((k for i, k in enumerate(keys) if k in keys[:i]), None)
 
 
-@_also_looking_closer
+@also_on_python_rules
 class TestDuplicateKeys:
     def test_dropped_edge_is_reported(self):
         with pytest.raises(GraphParseError, match="^node 'A' appears more than once$"):
@@ -597,17 +565,13 @@ def _outcome(function, argument):
     """What function(argument) returned or raised, and the warnings it gave."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            result = ("returned", function(argument))
-        except Exception as exc:  # noqa: BLE001 - any exception is an outcome
-            result = ("raised", type(exc), str(exc))
+        result = cross_check._outcome(function, argument)
     return result, [(w.category, str(w.message)) for w in caught]
 
 
 def _outcomes_on_and_off(functions, argument):
     on = [_outcome(function, argument) for function in functions]
-    with pytest.MonkeyPatch.context() as patch:
-        _look_closer(patch)
+    with _native.python_rules():
         off = [_outcome(function, argument) for function in functions]
     return on, off
 
@@ -750,8 +714,7 @@ class TestPlainCheck:
     def test_decoder_agrees_with_json_loads(self, text):
         # The outcome is a graph's layout: key order, types and target identity.
         on = cross_check.text_outcome(text)
-        with pytest.MonkeyPatch.context() as patch:
-            _look_closer(patch)
+        with _native.python_rules():
             off = cross_check.text_outcome(text)
         assert on == off
         graph = graphs._parse_plain(text)
@@ -769,14 +732,13 @@ class TestPlainCheck:
 
         monkeypatch.setattr(graphs, "_parse_plain", lenient)
         problems, answers = cross_check.plain_texts_problems()
-        native = SENTINEL_COMPARISONS == "c"
-        assert answers["duplicate node"] is (True if native else None)
+        assert answers["duplicate node"] is (True if cross_check.NATIVE else None)
         for label in ("duplicate node", "duplicate edge"):
             assert f"parse_graph({label}) changed with the decoder on" in problems
             assert f"parse_plain_graph({label}) took the text" in problems
         assert len(problems) == 4
 
-    @pytest.mark.skipif(SENTINEL_COMPARISONS != "c", reason="the C extension is not loaded")
+    @needs_c
     def test_repeated_decoding_leaks_nothing(self):
         # One text it takes, then ones it refuses part of the way through,
         # after interning ids: an escape, an infinite weight, a duplicate
@@ -788,7 +750,7 @@ class TestPlainCheck:
             '{"A": {"B": 1, "CD": 2.5, "B": 2}, "B": {}, "CD": {}}',
             '{"A": {"B": 1, "CD": 2.5}, "B": {"A": 3}}',
         ]
-        decode = graphs._absinf.parse_plain_graph
+        decode = _native._absinf.parse_plain_graph
         assert [decode(text) is not None for text in texts] == [True] + [False] * 4
         counted = ("A", "B")  # one-character latin-1 strs are shared
 
@@ -814,13 +776,13 @@ class TestPlainCheck:
         assert cross_check.plain_graph_problems()[0] == []
         monkeypatch.setattr(graphs, "_plain_graph", lambda graph: True)
         problems, answers = cross_check.plain_graph_problems()
-        assert set(answers.values()) == ({True} if SENTINEL_COMPARISONS == "c" else {None})
+        assert set(answers.values()) == ({True} if cross_check.NATIVE else {None})
         assert "validate(missing target) changed with the C check on" in problems
         # The C decoder refuses a minus sign, so json.loads and validate decide.
         assert "parse_graph(-1) changed with the C check on" in problems
         assert "plain_graph(IntEnum weight) said True, the loop found []" in problems
 
-    @pytest.mark.skipif(SENTINEL_COMPARISONS != "c", reason="the C extension is not loaded")
+    @needs_c
     def test_emit_graph_needs_only_number_weights(self, monkeypatch):
         # A dangling target fails validate, not emit_graph's loop.
         monkeypatch.setattr(graphs, "isinstance", _loop_ran, raising=False)
@@ -831,19 +793,15 @@ class TestPlainCheck:
         assert cross_check.plain_weights_problems()[0] == []
         monkeypatch.setattr(graphs, "_plain_weights", lambda graph: True)
         problems, answers = cross_check.plain_weights_problems()
-        assert set(answers.values()) == ({True} if SENTINEL_COMPARISONS == "c" else {None})
+        assert set(answers.values()) == ({True} if cross_check.NATIVE else {None})
         # An equal entry in the number table would write a Fraction as "2".
         assert "emit_graph(Fraction weight) changed with the C check on" in problems
         assert "plain_weights(Fraction weight) said True, emit_graph's loop raised" in problems
         assert not any(p.startswith("plain_weights(missing target)") for p in problems)
 
-    @pytest.mark.skipif(SENTINEL_COMPARISONS != "c", reason="the C extension is not loaded")
+    @needs_c
     def test_bundled_generated_and_emitted_graphs_take_it(self, monkeypatch):
-        # A silent miss would put the loops back into every query, and a
-        # Python wrapper around the check a frame.
-        assert graphs._plain_graph is graphs._absinf.plain_graph
-        assert graphs._plain_weights is graphs._absinf.plain_weights
-        assert graphs._parse_plain is graphs._absinf.parse_plain_graph
+        # A silent miss would put the loops back into every query.
         benchmarked = {kind for kind, _ in cross_check.BENCHMARK_SIZES}
         sizes = [(kind, 100) for kind in KINDS if kind not in benchmarked]
         plain = [fixture(name) for name in FIXTURE_NAMES] + [

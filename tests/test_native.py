@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import needs_c
 from extinf import _native, weights
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,6 +95,29 @@ def test_this_process_loaded_the_c_comparisons():
     # A run that checked only the fallback where a compiler exists would go
     # unnoticed: every other test accepts either implementation.
     assert (weights.SENTINEL_COMPARISONS, weights.NATIVE_FAILURE) == ("c", None)
+
+
+@needs_c
+def test_every_name_of_the_table_holds_the_extensions_own_function():
+    # A silent miss would put the rule back into every call, a wrapper a frame.
+    for (module, name), (function, _) in _native._TABLE.items():
+        held, own = getattr(sys.modules[module], name), getattr(_native._absinf, function)
+        assert getattr(held, "func", held) is own, name  # or a partial over it
+
+
+def test_python_rules_give_back_what_each_name_held_on_entry(monkeypatch):
+    # Not the table's C function: a test's stand-in is back after the block,
+    # also when it raised, as the gate's catches-a-wrong-answer tests need.
+    stand_ins = {key: lambda *args: "stand-in" for key in _native._TABLE}
+    for (module, name), stand_in in stand_ins.items():
+        monkeypatch.setattr(sys.modules[module], name, stand_in)
+    with pytest.raises(ZeroDivisionError):
+        with _native.python_rules():
+            for module, name in _native._TABLE:
+                assert getattr(sys.modules[module], name) is _native._rule(module, name)
+            1 / 0
+    for (module, name), stand_in in stand_ins.items():
+        assert getattr(sys.modules[module], name) is stand_in
 
 
 @needs_compiler

@@ -9,7 +9,7 @@ import pickle
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs_with_source
+from conftest import also_on_python_rules, graphs_with_source
 from extinf.fixtures import FIXTURE_NAMES, fixture, primary_fixture_names
 from extinf.generators import GeneratorSpec, generate
 from extinf.graphs import InvalidGraphError, validate
@@ -73,6 +73,7 @@ class TestKnownResults:
         assert dijkstra({"Z": {}}, "Z") == {"Z": finite(0)}
 
 
+@also_on_python_rules
 class TestOracleEquivalence:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixtures_every_source(self, name):
@@ -300,6 +301,7 @@ class _AddsTo(float):
         return self.result
 
 
+@also_on_python_rules
 class TestConversion:
     @pytest.mark.parametrize("domain", [IEEE_BASELINE, SENTINEL])
     def test_finite_results_are_plain_weights_equal_to_the_oracle(self, domain):

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cross_check
-from conftest import extended_weights, finite_payloads
-from extinf import weights
+from conftest import extended_weights, finite_payloads, needs_c
+from extinf import _native, shortest_path, weights
 from extinf.weights import (
     INFINITY,
     ExtendedWeight,
@@ -150,8 +150,8 @@ def _converts_in_one_pass(distances, infinity):
 
 def test_cross_check_conversion_table_catches_a_wrong_answer(monkeypatch):
     assert cross_check.from_search_problems()[0] == []
-    monkeypatch.setattr(cross_check, "SENTINEL_COMPARISONS", "c")  # hold it to the C rows
-    monkeypatch.setattr(weights, "_from_search_in_c", _converts_in_one_pass)
+    monkeypatch.setattr(cross_check, "NATIVE", True)  # hold it to the C rows
+    monkeypatch.setattr(shortest_path, "_from_search_in_c", _converts_in_one_pass)
     problems = cross_check.from_search_problems()[0]
     assert "from_search(2**53+1) under sentinel: the C call said False" in problems
     assert (
@@ -163,16 +163,7 @@ def test_cross_check_conversion_table_catches_a_wrong_answer(monkeypatch):
     assert not any(p.startswith("from_search(5e-324) under") for p in problems)
 
 
-_in_c = weights.SENTINEL_COMPARISONS == "c"
-needs_c = pytest.mark.skipif(not _in_c, reason="the C extension is not loaded")
 _ROUNDS_TO_INF = 2**1024 - 2**970
-
-
-def _on_the_c_path(distances, infinity):
-    """The conversion as dijkstra runs it."""
-    if weights._from_search_in_c(distances, infinity):
-        return distances
-    return weights._from_search(distances, infinity)
 
 
 @st.composite
@@ -214,9 +205,9 @@ class TestFromSearch:
         outcome = cross_check.conversion_outcome
         for distances in (named, raw):  # int node ids make the C call look closer
             expected = outcome(weights._from_search, dict(distances), infinity)
-            assert outcome(_on_the_c_path, dict(distances), infinity) == expected
-        assert weights._from_search_in_c(named, infinity) is _in_c
-        assert weights._from_search_in_c(raw, infinity) is (_in_c and not raw)
+            assert outcome(cross_check.converted, dict(distances), infinity) == expected
+        assert shortest_path._from_search_in_c(named, infinity) is cross_check.NATIVE
+        assert shortest_path._from_search_in_c(raw, infinity) is (cross_check.NATIVE and not raw)
 
     @pytest.mark.parametrize("infinity", [math.inf, INFINITY], ids=["ieee", "sentinel"])
     @pytest.mark.parametrize(
@@ -228,9 +219,9 @@ class TestFromSearch:
     ):
         distances = {"A": 0.0, "B": 2, "C": infinity, "Z": value}
         before = list(distances.items())
-        assert weights._from_search_in_c(distances, infinity) is False
+        assert shortest_path._from_search_in_c(distances, infinity) is False
         assert all(a is b and v is w for (a, v), (b, w) in zip(before, distances.items()))
-        for convert in (_on_the_c_path, weights._from_search):
+        for convert in (cross_check.converted, weights._from_search):
             with pytest.raises(error) as caught:
                 convert(dict(before), infinity)
             assert str(caught.value) == message
@@ -238,7 +229,7 @@ class TestFromSearch:
     @needs_c
     def test_negative_zero_is_folded_and_ints_become_their_image(self):
         distances = {"A": -0.0, "B": 2**53 + 1, "C": 0, "D": 2.5, "E": INFINITY}
-        assert weights._from_search_in_c(distances, INFINITY) is True
+        assert shortest_path._from_search_in_c(distances, INFINITY) is True
         assert [type(w) for w in distances.values()] == [ExtendedWeight] * 4 + [type(INFINITY)]
         assert distances["E"] is INFINITY
         assert math.copysign(1.0, distances["A"].value) == 1.0
@@ -249,7 +240,7 @@ class TestFromSearch:
     def test_the_c_call_needs_a_type_with_its_own_value_slot(self):
         for finite_type in (float, object, "ExtendedWeight"):
             with pytest.raises(TypeError):
-                weights._absinf.from_search(finite_type, INFINITY, {"A": 1.0}, math.inf)
+                _native._absinf.from_search(finite_type, INFINITY, {"A": 1.0}, math.inf)
 
     @needs_c
     def test_repeated_conversions_leak_nothing(self):
@@ -258,7 +249,7 @@ class TestFromSearch:
 
         def convert(times):
             for _ in range(times):
-                weights._from_search_in_c(dict(template), math.inf)
+                shortest_path._from_search_in_c(dict(template), math.inf)
 
         convert(1_000)
         tracemalloc.start()
@@ -531,7 +522,7 @@ class TestSingleton:
         # slots, not ExtendedWeight's methods, answer comparisons and hash.
         assert type(INFINITY) is not ExtendedWeight
         if weights.SENTINEL_COMPARISONS == "c":
-            assert type(INFINITY).__bases__ == (weights._absinf.AbsInf, ExtendedWeight)
+            assert type(INFINITY).__bases__ == (_native._absinf.AbsInf, ExtendedWeight)
             assert weights.NATIVE_FAILURE is None
         else:
             assert type(INFINITY).__bases__ == (ExtendedWeight,)

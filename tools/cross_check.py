@@ -24,39 +24,34 @@ It puts this checkout's ``src/`` on the import path and checks:
    C ones did not load, if they did not.
 6. For each graph of ``PLAIN_GRAPHS``, the C check of plain graphs says True
    exactly when every type in the graph is exact and ``validate``'s Python
-   loop finds nothing, and ``validate`` gives the loop's answer with the
-   check on.  Without the extension the check says False to every graph.
-   For each of those graphs that ``json.dumps`` takes, ``parse_graph`` of its
-   text gives the same graph (key order, types and target identity
-   included), or exception type and message, and the same warnings with the
-   C checks and decoder on as with them off.
-   The summary reports the check's answer per graph, null where the
-   extension did not load.
-   For the same graphs, the C check of weight types says True exactly when
-   the graph, its adjacencies and its weights are of exact types, and
-   ``emit_graph`` gives its Python loop's answer with the check on.
-   For each text of ``PLAIN_TEXTS``, the C decoder of plain documents
-   decodes exactly the texts the table marks, and ``parse_graph`` gives the
-   same outcome and warnings with the decoder on as with it off.  The
-   summary reports per text whether the decoder took it, null where the
-   extension did not load.
+   loop finds nothing, and the C check of weight types exactly when the
+   graph, its adjacencies and its weights are of exact types.  ``validate``,
+   ``emit_graph`` and, where ``json.dumps`` takes the graph, ``parse_graph``
+   of its text give the same answer (a graph with its key order, types and
+   target identity), or exception and message, and the same warnings as
+   under ``python_rules``, which puts the Python rules of ``_native``'s table
+   in place: the loops alone.  For each text of ``PLAIN_TEXTS``, the C
+   decoder of plain documents decodes exactly the texts the table marks, and
+   ``parse_graph`` gives the same outcome and warnings as under
+   ``python_rules``.  The summary reports each check's answer per graph and
+   whether the decoder took each text, null where the extension did not load.
 7. ``compare`` and ``add`` over every pair of the weights in ``OPERANDS``
    give the IEEE order and sum of their binary64 images, a sum of +inf
    being ``INFINITY`` itself.
 8. For each value of ``FROM_SEARCH``, last in a distance map of each
    domain, the search's conversion on the path ``dijkstra`` takes (the C
    call, then the Python loop if it says "look closer") gives the same
-   weights, types and ``INFINITY`` identity as the Python loop alone, or
-   the same exception and message.  The C call converts exactly where the
-   table says it does, and leaves the map untouched where it does not.
-   The summary reports its answer per domain and value, null where the
-   extension did not load.
+   weights, types and ``INFINITY`` identity as the Python loop alone, which
+   is that path under ``python_rules``, or the same exception and message.
+   The C call converts exactly where the table says it does, and leaves the
+   map untouched where it does not.  The summary reports its answer per
+   domain and value, null where the extension did not load.
 9. For each state of ``SPLITMIX_BLOCKS``, the mixer that ``generate``
-   calls returns the same bytes as the lane arithmetic, the rule, and
-   with the extension loaded each value of ``SPLITMIX_REFUSED`` makes the C
-   mixer raise its exception.  The summary reports, per state, the block's
-   first output in hex, and per refused value the exception raised; null
-   where the extension did not load.
+   calls returns the same bytes as under ``python_rules``, where it is the
+   lane arithmetic, the rule, and with the extension loaded each value of
+   ``SPLITMIX_REFUSED`` makes the C mixer raise its exception.  The summary
+   reports, per state, the block's first output in hex, and per refused
+   value the exception raised; null where the extension did not load.
 
 ``MESSAGES`` and the two digest pins live here only; ``tests/`` reads them
 from this module and checks the same things under pytest.  Each failed check
@@ -82,7 +77,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from extinf.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
 from extinf.generators import KINDS, GeneratorSpec, generate  # noqa: E402
-from extinf import generators, graphs, weights  # noqa: E402
+from extinf import _native, generators, graphs, shortest_path, weights  # noqa: E402
 from extinf.graphs import emit_graph, parse_graph, validate  # noqa: E402
 from extinf.shortest_path import DOMAINS, WeightDomain, bellman_ford, dijkstra  # noqa: E402
 from extinf.weights import (  # noqa: E402
@@ -98,6 +93,7 @@ from extinf.weights import (  # noqa: E402
 )
 
 GRAPHS_PER_KIND = 20
+NATIVE = SENTINEL_COMPARISONS == "c"
 
 # (label, value, the message of finite(value)'s ValueError)
 MESSAGES = (
@@ -483,67 +479,50 @@ def parse_outcome(graph):
 
 def plain_graph_problems():
     """The problems of the C check of plain graphs, and its answer per graph
-    (None without the extension, whose stand-in says False to every graph)."""
-    check, decoder = graphs._plain_graph, graphs._parse_plain
-    native = SENTINEL_COMPARISONS == "c"
+    (None without the extension, whose rule says False to every graph)."""
     answers, problems = {}, []
     for label, graph, exact, _ in PLAIN_GRAPHS:
-        graphs._plain_graph = lambda graph: False  # the Python loops alone
-        graphs._parse_plain = lambda text: None
-        try:
+        with _native.python_rules():  # the Python loops alone
             loop, parsed = validate(graph), parse_outcome(graph)
-        finally:
-            graphs._plain_graph, graphs._parse_plain = check, decoder
         if validate(graph) != loop:
             problems.append(f"validate({label}) changed with the C check on")
         if parse_outcome(graph) != parsed:
             problems.append(f"parse_graph({label}) changed with the C check on")
-        answer = check(graph)
-        answers[label] = answer if native else None
-        # Without the extension False, "look closer", is right for every graph.
-        if answer is not (exact and not loop) and (native or answer is not False):
+        answer = graphs._plain_graph(graph)
+        answers[label] = answer if NATIVE else None
+        if answer is not (exact and not loop) and (NATIVE or answer is not False):
             problems.append(f"plain_graph({label}) said {answer!r}, the loop found {loop!r}")
     return problems, answers
 
 
 def plain_weights_problems():
     """The problems of the C check of weight types, and its answer per graph
-    (None without the extension, whose stand-in says False to every graph)."""
-    check = graphs._plain_weights
-    native = SENTINEL_COMPARISONS == "c"
+    (None without the extension, whose rule says False to every graph)."""
     answers, problems = {}, []
     for label, graph, _, exact_weights in PLAIN_GRAPHS:
-        graphs._plain_weights = lambda graph: False  # emit_graph's Python loop alone
-        try:
+        with _native.python_rules():  # emit_graph's Python loop alone
             loop = _outcome(emit_graph, graph)
-        finally:
-            graphs._plain_weights = check
         if _outcome(emit_graph, graph) != loop:
             problems.append(f"emit_graph({label}) changed with the C check on")
-        answer = check(graph)
-        answers[label] = answer if native else None
-        if answer is not exact_weights and (native or answer is not False):
+        answer = graphs._plain_weights(graph)
+        answers[label] = answer if NATIVE else None
+        if answer is not exact_weights and (NATIVE or answer is not False):
             problems.append(f"plain_weights({label}) said {answer!r}, emit_graph's loop {loop[0]}")
     return problems, answers
 
 
 def plain_texts_problems():
     """The problems of the C decoder of plain documents, and whether it took
-    each text (None without the extension, whose stand-in takes none)."""
-    decoder = graphs._parse_plain
-    native = SENTINEL_COMPARISONS == "c"
+    each text (None without the extension, whose rule takes none)."""
     answers, problems = {}, []
     for label, text, decoded in PLAIN_TEXTS:
-        graphs._parse_plain = lambda text: None  # json.loads and the checks alone
-        try:
+        with _native.python_rules():  # json.loads and the checks alone
             rule = text_outcome(text)
-        finally:
-            graphs._parse_plain = decoder
         if text_outcome(text) != rule:
             problems.append(f"parse_graph({label}) changed with the decoder on")
-        took = decoder(text) is not None
-        answers[label] = took if native else None
-        if took is not (decoded and native):
+        took = graphs._parse_plain(text) is not None
+        answers[label] = took if NATIVE else None
+        if took is not (decoded and NATIVE):
             problems.append(f"parse_plain_graph({label}) {'took' if took else 'refused'} the text")
     return problems, answers
 
@@ -558,10 +537,16 @@ def conversion_outcome(convert, distances, infinity):
     return [(node, type(w), w is INFINITY, repr(w._value)) for node, w in outcome[1].items()]
 
 
+def converted(distances, infinity):
+    """The search's conversion as ``dijkstra`` runs it."""
+    if shortest_path._from_search_in_c(distances, infinity):
+        return distances
+    return weights._from_search(distances, infinity)
+
+
 def from_search_problems():
     """The problems of the search's conversion in C, and its answer per
     domain and value (None without the extension)."""
-    native = SENTINEL_COMPARISONS == "c"
     answers, problems = {name: {} for name in DOMAINS}, []
     for label, value, converted_in in FROM_SEARCH:
         for domain in DOMAINS.values():
@@ -570,16 +555,15 @@ def from_search_problems():
             # Last, so a conversion that gave up half-way would have changed the rest.
             row = {"A": 0.0, "B": 2, "C": infinity, "Z": value}
             distances = dict(row)
-            answer = weights._from_search_in_c(distances, infinity)
-            answers[domain.name][label] = answer if native else None
-            if answer is not (native and domain.name in converted_in):
+            answer = shortest_path._from_search_in_c(distances, infinity)
+            answers[domain.name][label] = answer if NATIVE else None
+            if answer is not (NATIVE and domain.name in converted_in):
                 problems.append(f"{where}: the C call said {answer!r}")
             if not answer and any(a is not b for a, b in zip(row.values(), distances.values())):
                 problems.append(f"{where}: the C call said look closer and changed the map")
-            c_path = conversion_outcome(
-                lambda d, i: d if answer else weights._from_search(d, i), distances, infinity
-            )
-            python_loop = conversion_outcome(weights._from_search, dict(row), infinity)
+            c_path = conversion_outcome(converted, dict(row), infinity)
+            with _native.python_rules():
+                python_loop = conversion_outcome(converted, dict(row), infinity)
             if c_path != python_loop:
                 problems.append(
                     f"{where}: C path gave {c_path!r}, Python loop gave {python_loop!r}"
@@ -590,18 +574,18 @@ def from_search_problems():
 def splitmix_problems():
     """The problems of the mixer ``generate`` calls against the lane
     arithmetic, and its answers (None without the extension)."""
-    mixer = generators._splitmix_block
-    native = SENTINEL_COMPARISONS == "c"
     answers, problems = {}, []
     for label, state in SPLITMIX_BLOCKS:
-        outcome, answers[label] = _outcome(mixer, state), None
-        if outcome != ("returned", generators._mix_lanes(state)):
+        with _native.python_rules():  # the lane arithmetic
+            rule = _outcome(generators._splitmix_block, state)
+        outcome, answers[label] = _outcome(generators._splitmix_block, state), None
+        if outcome != rule:
             problems.append(f"splitmix_block({label}) differs from the lane arithmetic")
-        elif native:
+        elif NATIVE:
             first = memoryview(outcome[1]).cast("Q")[generators._LOW_WORDS][-1]
             answers[label] = f"{first:#018x}"
-    for label, value, expected in SPLITMIX_REFUSED if native else ():
-        outcome = _outcome(mixer, value)
+    for label, value, expected in SPLITMIX_REFUSED if NATIVE else ():
+        outcome = _outcome(generators._splitmix_block, value)
         raised = answers[label] = outcome[1].__name__ if outcome[0] == "raised" else None
         if raised != expected.__name__:
             problems.append(f"splitmix_block({label}) raised {raised}, not {expected.__name__}")
