@@ -47,11 +47,9 @@
    trailing data, or a graph that plain_graph refuses, which it calls last.
    Every exit frees the partial dicts and the table; it keeps no state.
 
-   splitmix_block(state) is the fast path of generators._mix_lanes, whose
-   lane arithmetic holds the rule: the bytes of int.to_bytes(16 * BLOCK,
-   sys.byteorder) for an int whose i-th 128-bit lane from the least
-   significant end holds, in its low word, the SplitMix64 output BLOCK - i
-   steps past state, and zero in its high word.  state must be an int in
+   splitmix_block(state) is the fast path of generators._mix_words, which
+   holds the rule: the SplitMix64 outputs 1 to BLOCK steps past state as
+   native-order 64-bit words, the last output first.  state must be an int in
    [0, 2**64): PyLong_AsUnsignedLongLong raises TypeError for a non-int and
    OverflowError for an int out of range.
 
@@ -547,27 +545,19 @@ from_search(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
 #define GAMMA 0x9E3779B97F4A7C15ULL
 
 /* The mixed block of outputs 1 to BLOCK steps past state, laid out as
-   generators._mix_lanes returns it. */
+   generators._mix_words returns it. */
 static PyObject *
 splitmix_block(PyObject *Py_UNUSED(module), PyObject *state_arg)
 {
     unsigned long long state = PyLong_AsUnsignedLongLong(state_arg);
     if (state == (unsigned long long)-1 && PyErr_Occurred())
         return NULL;
-    uint64_t words[2 * BLOCK] = {0}; /* (low, high) word pairs of the lanes */
+    uint64_t words[BLOCK];
     for (int step = 1; step <= BLOCK; step++) {
         uint64_t z = state + step * GAMMA;
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
         z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-        z ^= z >> 31;
-        /* Little-endian bytes run from the least significant lane, the last
-           output, low word first; big-endian ones from the most significant
-           lane, the first output, high word first. */
-#if PY_BIG_ENDIAN
-        words[2 * step - 1] = z;
-#else
-        words[2 * (BLOCK - step)] = z;
-#endif
+        words[BLOCK - step] = z ^ (z >> 31);
     }
     return PyBytes_FromStringAndSize((const char *)words, sizeof words);
 }
@@ -593,9 +583,8 @@ static PyMethodDef absinf_functions[] = {
      "look closer."},
     {"splitmix_block", splitmix_block, METH_O,
      "splitmix_block(state) -> bytes\n\nThe SplitMix64 outputs 1 to 512 steps past state, an int in\n"
-     "[0, 2**64), as generators._mix_lanes(state) lays them out: 128-bit\n"
-     "lanes in native byte order, the last output in the least significant\n"
-     "lane, each output in its lane's low word and zero in its high word."},
+     "[0, 2**64), as generators._mix_words(state) lays them out: native-order\n"
+     "64-bit words, the last output first."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -70,7 +70,7 @@ def _build(target):
     if not compiler:
         return "sysconfig names no C compiler"
     directory = os.path.dirname(target)
-    partial = f"{target}.{os.getpid()}.tmp"
+    temporary = f"{target}.{os.getpid()}.tmp"
     command = [
         *shlex.split(compiler),
         *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
@@ -80,7 +80,7 @@ def _build(target):
         sysconfig.get_paths()["include"],
         SOURCE,
         "-o",
-        partial,
+        temporary,
     ]
     try:
         os.makedirs(directory, exist_ok=True)
@@ -101,12 +101,12 @@ def _build(target):
         if child.returncode != 0:
             lines = output.strip().splitlines() or [f"exit status {child.returncode}"]
             return f"building {target} failed: {lines[-1]}"
-        os.replace(partial, target)
+        os.replace(temporary, target)
     except OSError as exc:
         return f"building {target} failed: {exc}"
     finally:
-        if os.path.exists(partial):
-            os.remove(partial)
+        if os.path.exists(temporary):
+            os.remove(temporary)
     stem, suffix = "_absinf.", _imp.extension_suffixes()[0]
     for name in os.listdir(directory):
         path = os.path.join(directory, name)
@@ -127,7 +127,7 @@ _TABLE = {
     ("extinf.graphs", "_plain_weights"): ("plain_weights", lambda graph: False),
     ("extinf.graphs", "_parse_plain"): ("parse_plain_graph", lambda text: None),
     ("extinf.shortest_path", "_from_search_in_c"): ("from_search", lambda *args: False),
-    ("extinf.generators", "_splitmix_block"): ("splitmix_block", "_mix_lanes"),
+    ("extinf.generators", "_splitmix_block"): ("splitmix_block", "_mix_words"),
 }
 
 

@@ -8,13 +8,13 @@ order.
 
 SplitMix64's k-th output is a fixed mix of ``seed + k * gamma mod 2**64``
 (Steele, Lea and Flood, "Fast splittable pseudorandom number generators",
-OOPSLA 2014), so ``SplitMix64`` mixes 512 outputs at once.  The rule is
-``_mix_lanes``: 128-bit lanes of one Python int masked back to 64 bits after
-every step so that nothing carries into the next lane, the loops over lanes
-being the int type's C loops; the extension's ``splitmix_block`` returns the
-same bytes from a plain C loop.  ``SplitMix64.randints`` returns exactly the
-values of the same number of ``randint`` calls and leaves the stream on the
-same next output.
+OOPSLA 2014), so ``SplitMix64`` mixes 512 outputs at once.  A mixed block is
+the bytes of those outputs as native-order 64-bit words, last output first.
+The rule is ``_mix_words``, SplitMix64 one output at a time stored through
+a memoryview; the extension's ``splitmix_block`` returns the same bytes from
+the same loop in C.  ``SplitMix64.randints`` returns exactly the values of
+the same number of ``randint`` calls and leaves the stream on the same next
+output.
 
 The ``_KINDS`` table at the end of the module is the single definition of a
 kind: its builder, its fewest nodes and whether it takes explicit weights.
@@ -36,34 +36,20 @@ __all__ = ["GeneratorSpec", "KINDS", "SplitMix64", "generate"]
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _BLOCK = 512  # outputs mixed at once
-# Lane i of a block holds the state _BLOCK - i steps on, so the lanes' low
-# words, read from the least significant lane up, run from the block's last
-# output to its first; the slice reads them in that order in the bytes of
-# either byte order.
-_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
-# The low byte of each lane, read from the block's first output to its last.
-_LOW_BYTES = slice(-16, None, -16) if sys.byteorder == "little" else slice(15, None, 16)
+# The low byte of each word of a block, read from its first output to its last.
+_LOW_BYTES = slice(-8, None, -8) if sys.byteorder == "little" else slice(-1, None, -8)
 
 
-@cache
-def _lane_constants():
-    """1 in each lane, gamma times each lane's steps, and the lane mask;
-    built on the fallback's first block, not on import."""
-    ones = int.from_bytes(b"\x01".ljust(16, b"\0") * _BLOCK, "little")
-    steps = b"".join(k.to_bytes(16, "little") for k in range(_BLOCK, 0, -1))
-    return ones, _GAMMA * int.from_bytes(steps, "little"), _MASK64 * ones
-
-
-def _mix_lanes(state):
-    """The outputs 1 to _BLOCK steps past state as the bytes of one int,
-    lane i holding the output _BLOCK - i steps on in its low word and zero
-    in its high word: the rule of a mixed block, and its fallback."""
-    ones, steps, mask = _lane_constants()
-    z = (state * ones + steps) & mask
-    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
-    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
-    z = (z ^ (z >> 31)) & mask
-    return z.to_bytes(16 * _BLOCK, sys.byteorder)
+def _mix_words(state):
+    """The outputs 1 to _BLOCK steps past state as native-order words, the
+    last output first: the rule of a mixed block, and its fallback."""
+    words = memoryview(bytearray(8 * _BLOCK)).cast("Q")
+    for i in reversed(range(_BLOCK)):
+        state = (state + _GAMMA) & _MASK64
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+        words[i] = z ^ (z >> 31)
+    return words.tobytes()
 
 
 # state -> its mixed block's bytes.
@@ -91,14 +77,14 @@ class SplitMix64:
         self._low = b""  # low byte of each output of the block, first first
 
     def _mix_block(self):
-        """Mix the next block of outputs and return its lanes' bytes."""
+        """Mix the next block of outputs and return its bytes."""
         state = self._state
         self._state = (state + _BLOCK * _GAMMA) & _MASK64
         return _splitmix_block(state)
 
     def _hold(self, raw):
         """Make a mixed block the unread one."""
-        self._block = memoryview(raw).cast("Q")[_LOW_WORDS].tolist()
+        self._block = memoryview(raw).cast("Q").tolist()
         self._low = raw[_LOW_BYTES]
 
     def next_u64(self) -> int:
@@ -185,9 +171,9 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind node_count weight_range se
     weight_range is an inclusive integer interval; equal_weights ignores its
     upper bound and uses the lower bound for every edge.  weights, when given,
     replaces seeded weights with an explicit per-edge list, only for kinds
-    whose edge order is canonical (linear_chain, star, cycle); it is stored
-    as a tuple.  _make (and _replace, which calls it) builds through the
-    constructor, so neither skips its checks.
+    whose edge order is canonical (linear_chain, star, cycle).  Both are
+    stored as tuples, so a spec is hashable.  _make (and _replace, which
+    calls it) builds through the constructor, so neither skips its checks.
     """
 
     __slots__ = ()
@@ -202,9 +188,12 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind node_count weight_range se
             raise ValueError(f"kind {kind!r} needs at least {minimum} nodes, got {node_count}")
         if kind == "grid" and math.isqrt(node_count) ** 2 != node_count:
             raise ValueError(f"grid node_count must be a perfect square, got {node_count}")
-        lo, hi = weight_range
+        try:
+            lo, hi = weight_range
+        except (TypeError, ValueError):  # not two values: refused just below
+            lo = hi = None
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (lo, hi)):
-            raise ValueError(f"weight_range must be integers, got {weight_range!r}")
+            raise ValueError(f"weight_range must be two integers, got {weight_range!r}")
         floor = 0 if kind == "equal_weights" else 1
         if lo < floor or hi < lo:
             raise ValueError(f"bad weight_range for {kind!r}: {weight_range!r}")
@@ -225,7 +214,7 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind node_count weight_range se
                 problem = _weight_problem(w)
                 if problem is not None:
                     raise ValueError(f"bad explicit weight: {problem}")
-        return super().__new__(cls, kind, node_count, weight_range, seed, weights)
+        return super().__new__(cls, kind, node_count, (lo, hi), seed, weights)
 
     @classmethod
     def _make(cls, iterable):

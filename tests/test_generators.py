@@ -58,21 +58,23 @@ def test_splitmix64_empty_range_is_an_error():
     assert rng.randints(5, 4, 0) == []
 
 
-def _mix_lanes_shifting_32(state):
-    """The lane arithmetic with its last xor-shift 32 bits, not 31."""
-    ones, steps, mask = generators._lane_constants()
-    z = (state * ones + steps) & mask
-    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
-    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
-    return ((z ^ (z >> 32)) & mask).to_bytes(16 * _BLOCK, sys.byteorder)
+def _mix_words_shifting_32(state):
+    """The rule with its last xor-shift 32 bits, not 31."""
+    words = memoryview(bytearray(8 * _BLOCK)).cast("Q")
+    for i in reversed(range(_BLOCK)):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        words[i] = z ^ (z >> 32)
+    return words.tobytes()
 
 
 def test_cross_check_splitmix_table_catches_a_wrong_answer(monkeypatch):
     assert cross_check.splitmix_problems()[0] == []
-    monkeypatch.setattr(generators, "_splitmix_block", _mix_lanes_shifting_32)
+    monkeypatch.setattr(generators, "_splitmix_block", _mix_words_shifting_32)
     problems, answers = cross_check.splitmix_problems()
-    assert "splitmix_block(0) differs from the lane arithmetic" in problems
-    assert "splitmix_block(2**64-1) differs from the lane arithmetic" in problems
+    assert "splitmix_block(0) differs from the rule" in problems
+    assert "splitmix_block(2**64-1) differs from the rule" in problems
     if cross_check.NATIVE:
         assert "splitmix_block(-1) raised None, not OverflowError" in problems
     else:
@@ -81,13 +83,21 @@ def test_cross_check_splitmix_table_catches_a_wrong_answer(monkeypatch):
 
 @needs_c
 def test_benchmark_graphs_are_mixed_in_c(monkeypatch):
-    # A silent miss would put the lane arithmetic back into every set-up.
-    def lanes_ran():
-        raise AssertionError("the lane arithmetic ran")
+    # A silent miss would put the rule back into every set-up.
+    def rule_ran(state):
+        raise AssertionError("the rule ran")
 
-    monkeypatch.setattr(generators, "_lane_constants", lanes_ran)
+    monkeypatch.setattr(generators, "_mix_words", rule_ran)
     for kind, node_count in cross_check.BENCHMARK_SIZES:
         generate(GeneratorSpec(kind, node_count, seed=12345))
+
+
+@also_on_python_rules
+def test_a_block_is_its_outputs_as_native_words_last_first():
+    block = generators._splitmix_block(0)
+    assert len(block) == 8 * _BLOCK
+    # The stream's first two outputs, as test_splitmix64_is_stable pins them.
+    assert memoryview(block).cast("Q")[-2:].tolist() == [7960286522194355700, 16294208416658607535]
 
 
 class _ScalarSplitMix64:
@@ -372,6 +382,18 @@ class TestSpecValidation:
     def test_weight_range_order(self):
         with pytest.raises(ValueError, match="weight_range"):
             GeneratorSpec(kind="dense", node_count=4, weight_range=(5, 2))
+
+    @pytest.mark.parametrize(
+        "weight_range", [(1, 2, 3), 5, [2, 7]], ids=["three_values", "an_int", "a_list"]
+    )
+    def test_weight_range_is_two_integers_stored_as_a_tuple(self, weight_range):
+        if isinstance(weight_range, list):  # accepted, and the spec hashable
+            spec = GeneratorSpec(kind="dense", node_count=4, weight_range=weight_range)
+            assert spec.weight_range == (2, 7) and hash(spec) == hash(spec._replace())
+            return
+        message = f"^weight_range must be two integers, got {re.escape(repr(weight_range))}$"
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec(kind="dense", node_count=4, weight_range=weight_range)
 
     def test_seed_range(self):
         with pytest.raises(ValueError, match="seed"):

@@ -121,6 +121,27 @@ def test_python_rules_give_back_what_each_name_held_on_entry(monkeypatch):
 
 
 @needs_compiler
+def test_the_source_builds_without_a_warning(tmp_path):
+    # The flags _native._build passes, with every common warning an error.
+    command = [
+        *shlex.split(sysconfig.get_config_var("CC")),
+        *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
+        "-shared",
+        "-O2",
+        "-Wall",
+        "-Wextra",
+        "-Werror",
+        "-I",
+        sysconfig.get_paths()["include"],
+        _native.SOURCE,
+        "-o",
+        str(tmp_path / "_absinf.so"),
+    ]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+@needs_compiler
 def test_first_import_builds_once_and_later_imports_reuse_it(tmp_path):
     # -B governs bytecode only, so it neither stops the build nor its reuse.
     for flags in ((), ("-B",)):

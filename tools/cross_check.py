@@ -48,7 +48,8 @@ It puts this checkout's ``src/`` on the import path and checks:
    domain and value, null where the extension did not load.
 9. For each state of ``SPLITMIX_BLOCKS``, the mixer that ``generate``
    calls returns the same bytes as under ``python_rules``, where it is the
-   lane arithmetic, the rule, and with the extension loaded each value of
+   rule: SplitMix64 one output at a time, stored as native-order words with
+   the last output first.  With the extension loaded, each value of
    ``SPLITMIX_REFUSED`` makes the C mixer raise its exception.  The summary
    reports, per state, the block's first output in hex, and per refused
    value the exception raised; null where the extension did not load.
@@ -255,7 +256,7 @@ FROM_SEARCH = (
 )
 
 # (label, state) for the mixer of SplitMix64 blocks: both ends of the state's
-# range, the step, and the state whose first lane wraps past 2**64 to 0.
+# range, the step, and the state whose first output wraps it past 2**64 to 0.
 SPLITMIX_BLOCKS = (
     ("0", 0),
     ("1", 1),
@@ -572,17 +573,17 @@ def from_search_problems():
 
 
 def splitmix_problems():
-    """The problems of the mixer ``generate`` calls against the lane
-    arithmetic, and its answers (None without the extension)."""
+    """The problems of the mixer ``generate`` calls against the rule, and
+    its answers (None without the extension)."""
     answers, problems = {}, []
     for label, state in SPLITMIX_BLOCKS:
-        with _native.python_rules():  # the lane arithmetic
+        with _native.python_rules():
             rule = _outcome(generators._splitmix_block, state)
         outcome, answers[label] = _outcome(generators._splitmix_block, state), None
         if outcome != rule:
-            problems.append(f"splitmix_block({label}) differs from the lane arithmetic")
+            problems.append(f"splitmix_block({label}) differs from the rule")
         elif NATIVE:
-            first = memoryview(outcome[1]).cast("Q")[generators._LOW_WORDS][-1]
+            first = memoryview(outcome[1]).cast("Q")[-1]
             answers[label] = f"{first:#018x}"
     for label, value, expected in SPLITMIX_REFUSED if NATIVE else ():
         outcome = _outcome(generators._splitmix_block, value)
