@@ -44,8 +44,12 @@
    through PyOS_string_to_double, as in json.  Anything else returns None,
    "look closer": an escape, a control character, a minus sign, a longer
    int, a non-finite float, NaN or Infinity, other nesting, a duplicate key,
-   trailing data, or a graph that plain_graph refuses, which it calls last.
-   Every exit frees the partial dicts and the table; it keeps no state.
+   trailing data, or a target that is not a node.  It needs no plain_graph
+   pass: the grammar makes only exact strs, fresh exact dicts, ints of at
+   most 18 digits and unsigned finite floats, and since each id is made once
+   and no node twice, every target is a node exactly when the table holds
+   as many ids as the graph has nodes.  Every exit frees the partial dicts
+   and the table; it keeps no state.
 
    splitmix_block(state) is the fast path of generators._mix_words, which
    holds the rule: the SplitMix64 outputs 1 to BLOCK steps past state as
@@ -336,10 +340,10 @@ next_member(const Py_UCS1 **cursor, const Py_UCS1 *end)
 }
 
 /* The dict json.loads(text) builds, for an exact str of the 1-byte kind
-   holding an object of objects of numbers that plain_graph passes; None to
-   look closer. */
+   holding an object of objects of numbers whose targets are all nodes, a
+   graph plain_graph passes; None to look closer. */
 static PyObject *
-parse_plain_graph(PyObject *module, PyObject *text)
+parse_plain_graph(PyObject *Py_UNUSED(module), PyObject *text)
 {
     if (!PyUnicode_CheckExact(text) || PyUnicode_READY(text) < 0
         || PyUnicode_KIND(text) != PyUnicode_1BYTE_KIND) {
@@ -396,19 +400,15 @@ parse_plain_graph(PyObject *module, PyObject *text)
         if ((more = next_member(&p, end)) < 0)
             goto look_closer;
     }
-    if (skip_space(p, end) != end) /* trailing data */
-        goto look_closer;
-    result = plain_graph(module, graph);
-    if (result == Py_True)
-        Py_SETREF(result, Py_NewRef(graph));
-    else if (result == Py_False)
-        goto look_closer;
+    if (skip_space(p, end) != end || ids.used != (size_t)PyDict_GET_SIZE(graph))
+        goto look_closer; /* trailing data, or a target that is not a node */
+    result = Py_NewRef(graph);
     goto done;
 look_closer_or_fail:
     if (PyErr_Occurred())
         goto done;
 look_closer:
-    Py_XSETREF(result, Py_NewRef(Py_None));
+    result = Py_NewRef(Py_None);
 done:
     Py_XDECREF(graph);
     free_id_table(&ids);
@@ -570,8 +570,8 @@ static PyMethodDef absinf_functions[] = {
     {"parse_plain_graph", parse_plain_graph, METH_O,
      "parse_plain_graph(text) -> dict or None\n\nThe graph json.loads(text) builds, when text is an exact str of\n"
      "latin-1 characters holding an object of objects of unsigned numbers,\n"
-     "with no escape, duplicate key or trailing data, that plain_graph\n"
-     "passes; each distinct node id is one str.  None means look closer."},
+     "with no escape, duplicate key, trailing data or dangling target: a\n"
+     "graph plain_graph passes, each distinct id one str.  None means look closer."},
     {"plain_weights", plain_weights, METH_O,
      "plain_weights(graph) -> bool\n\nTrue only if graph and each adjacency are exact dicts and every\n"
      "weight is an exact int or float.  False means look closer."},
@@ -600,8 +600,8 @@ static PyTypeObject AbsInf_Type = {
 
 static struct PyModuleDef absinf_module = {
     PyModuleDef_HEAD_INIT, "_absinf",
-    "The C comparisons of extinf's INFINITY, its search conversion, its graph checks\n"
-    "and its SplitMix64 mixing.", -1,
+    "The C comparisons of extinf's INFINITY, its search conversion, its graph checks,\n"
+    "its decoder of graph documents and its SplitMix64 mixing.", -1,
     absinf_functions, NULL, NULL, NULL, NULL,
 };
 

@@ -31,11 +31,14 @@ which tests the weights' exact types and looks up no target.  False means
 ``parse_graph`` first hands its text to ``_parse_plain(text)``, which
 decodes a plain document in one C pass: an exact ``str`` of latin-1
 characters holding an object of objects of unsigned numbers, with no
-escape, duplicate key or trailing data, whose graph ``_plain_graph`` passes.
-It returns the dict that ``json.loads`` would build, each distinct node id
-one ``str`` object as with ``json``'s key memo, or None to look closer; then
+escape, duplicate key, trailing data or target that is not a node.  It
+returns the dict that ``json.loads`` would build, each distinct node id one
+``str`` object as with ``json``'s key memo, or None to look closer; then
 ``json.loads`` and the checks of ``parse_graph`` run, the rule and the only
-place its errors are worded.
+place its errors are worded.  The decoder proves its own graph plain, with no
+``_plain_graph`` pass: its grammar makes only exact types and unsigned finite
+numbers, and its table of ids tells whether every target is a node, so
+``validate`` is the one check of a parsed graph.
 """
 
 import itertools

@@ -719,30 +719,35 @@ class TestPlainCheck:
         assert on == off
         graph = graphs._parse_plain(text)
         if graph is not None:
+            # The decoder runs no plain_graph pass: it proves its graph plain.
+            assert graphs._plain_graph(graph) is True
             keys = {node: node for node in graph}
             assert all(keys[target] is target for adj in graph.values() for target in adj)
 
     def test_cross_check_text_table_catches_a_wrong_answer(self, monkeypatch):
         assert cross_check.plain_texts_problems()[0] == []
         decoder = graphs._parse_plain
-        duplicates = {text for label, text, _ in cross_check.PLAIN_TEXTS if "duplicate" in label}
+        labels = ("duplicate node", "duplicate edge", "two dangling targets")
+        wrong = {text for label, text, _ in cross_check.PLAIN_TEXTS if label in labels}
 
-        def lenient(text):  # keeps the last of duplicate keys, as json.loads does
-            return json.loads(text) if text in duplicates else decoder(text)
+        def lenient(text):  # as json.loads: the last of duplicate keys, dangling targets
+            return json.loads(text) if text in wrong else decoder(text)
 
         monkeypatch.setattr(graphs, "_parse_plain", lenient)
         problems, answers = cross_check.plain_texts_problems()
         assert answers["duplicate node"] is (True if cross_check.NATIVE else None)
-        for label in ("duplicate node", "duplicate edge"):
+        for label in labels:
             assert f"parse_graph({label}) changed with the decoder on" in problems
             assert f"parse_plain_graph({label}) took the text" in problems
-        assert len(problems) == 4
+        refused = "parse_plain_graph(two dangling targets) gave a graph plain_graph refuses"
+        assert refused in problems
+        assert len(problems) == 7
 
     @needs_c
     def test_repeated_decoding_leaks_nothing(self):
         # One text it takes, then ones it refuses part of the way through,
         # after interning ids: an escape, an infinite weight, a duplicate
-        # edge, and a missing target that only plain_graph refuses.
+        # edge, and a missing target, which only the count of ids refuses.
         texts = [
             '{"A": {"B": 1, "CD": 2.5}, "B": {"A": 3}, "CD": {}}',
             '{"A": {"B": 1, "CD": 2.5}, "B": {"A": 3}, "CD": {"\\u0041": 1}}',

@@ -31,10 +31,11 @@ It puts this checkout's ``src/`` on the import path and checks:
    target identity), or exception and message, and the same warnings as
    under ``python_rules``, which puts the Python rules of ``_native``'s table
    in place: the loops alone.  For each text of ``PLAIN_TEXTS``, the C
-   decoder of plain documents decodes exactly the texts the table marks, and
-   ``parse_graph`` gives the same outcome and warnings as under
-   ``python_rules``.  The summary reports each check's answer per graph and
-   whether the decoder took each text, null where the extension did not load.
+   decoder of plain documents decodes exactly the texts the table marks,
+   each to a graph the C check of plain graphs passes, and ``parse_graph``
+   gives the same outcome and warnings as under ``python_rules``.  The
+   summary reports each check's answer per graph and whether the decoder
+   took each text, null where the extension did not load.
 7. ``compare`` and ``add`` over every pair of the weights in ``OPERANDS``
    give the IEEE order and sum of their binary64 images, a sum of +inf
    being ``INFINITY`` itself.
@@ -206,7 +207,8 @@ PLAIN_GRAPHS = (
 )
 
 # (label, text, whether the C decoder of plain documents takes it): one
-# text it decodes, then one per kind of text it leaves to json.loads.
+# text it decodes, then one per kind of text it leaves to json.loads, then
+# the edges of its count of ids against nodes.
 PLAIN_TEXTS = (
     ("plain", ' {"A":{"B":1,"\u00e9":2.5e0},\r\n\t"B":{"A":0}, "\u00e9":{"B":1E-400}}\n', True),
     ("backslash escape", '{"A": {"\\u0042": 1}, "B": {}}', False),
@@ -227,6 +229,9 @@ PLAIN_TEXTS = (
     ("2-byte kind", '{"\u0100": {}}', False),
     ("4-byte kind", '{"\U0001f600": {}}', False),
     ("missing target", '{"A": {"B": 1}}', False),
+    ("empty document", "{}", True),
+    ("self-loop only", '{"A": {"A": 0}}', True),
+    ("two dangling targets", '{"A": {"B": 1, "C": 2}}', False),
 )
 
 _BOTH = frozenset(DOMAINS)
@@ -521,10 +526,13 @@ def plain_texts_problems():
             rule = text_outcome(text)
         if text_outcome(text) != rule:
             problems.append(f"parse_graph({label}) changed with the decoder on")
-        took = graphs._parse_plain(text) is not None
+        graph = graphs._parse_plain(text)
+        took = graph is not None
         answers[label] = took if NATIVE else None
         if took is not (decoded and NATIVE):
             problems.append(f"parse_plain_graph({label}) {'took' if took else 'refused'} the text")
+        if took and graphs._plain_graph(graph) is not True:
+            problems.append(f"parse_plain_graph({label}) gave a graph plain_graph refuses")
     return problems, answers
 
 
