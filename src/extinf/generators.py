@@ -14,7 +14,10 @@ The rule is ``_mix_words``, SplitMix64 one output at a time stored through
 a memoryview; the extension's ``splitmix_block`` returns the same bytes from
 the same loop in C.  ``SplitMix64.randints`` returns exactly the values of
 the same number of ``randint`` calls and leaves the stream on the same next
-output.
+output.  For a span below 256 it lists what ``_draw_bytes`` returns: the
+values as a bytearray, filtered from each block's low bytes in C.
+``equal_weights`` keeps its flips in such bytes all the way to its links,
+so it makes no Python-visible call per candidate edge.
 
 The ``_KINDS`` table at the end of the module is the single definition of a
 kind: its builder, its fewest nodes and whether it takes explicit weights.
@@ -26,7 +29,7 @@ import math
 import sys
 from collections import namedtuple
 from functools import cache, lru_cache, partial
-from itertools import compress, filterfalse, islice
+from itertools import compress, islice, repeat
 
 from . import _native
 from .graphs import _weight_problem
@@ -38,6 +41,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 _BLOCK = 512  # outputs mixed at once
 # The low byte of each word of a block, read from its first output to its last.
 _LOW_BYTES = slice(-8, None, -8) if sys.byteorder == "little" else slice(-1, None, -8)
+# Maps an equal_weights flip to 1 if it links its pair (a 0) and to 0 if not.
+_LINK_FLAGS = bytes([1]) + bytes(255)
 
 
 def _mix_words(state):
@@ -128,16 +133,34 @@ class SplitMix64:
         """``[self.randint(lo, hi) for _ in range(count)]``, a block at a time.
 
         The stream is left on the same next output as those calls would
-        leave it.  For a span below 256 an output's low byte alone decides
-        its value and whether it is kept, so one ``bytes.translate`` masks,
-        offsets and rejects a block's low bytes in C.  Spans of 256 and
-        more, and single draws, go through ``randint``.
+        leave it.  A count that is not a non-negative int, or an empty range
+        at any count, is refused.  Spans below 256 are drawn as bytes (see
+        ``_draw_bytes``); spans of 256 and more go through ``randint``.
         """
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise ValueError(f"count must be a non-negative integer, got {count!r}")
         span = hi - lo + 1
-        if count < 2 or span < 1 or span.bit_length() > 8:
+        if span < 1:
+            raise ValueError(f"empty range: randints({lo}, {hi}, {count})")
+        if span.bit_length() > 8:
             return [self.randint(lo, hi) for _ in range(count)]
         # Fold lo into the table when every value fits in a byte.
         base = lo if 0 <= lo and hi <= 0xFF else 0
+        drawn = self._draw_bytes(base, span, count)
+        if base == lo:
+            return list(drawn)
+        return list(map(lo.__add__, drawn))
+
+    def _draw_bytes(self, base, span, count):
+        """``base + v`` for the offsets ``v`` of count ``randint`` draws of a
+        span below 256, each taken mod 256, as a bytearray.
+
+        An output's low byte alone decides its offset and whether it is
+        kept, so one ``bytes.translate`` masks, offsets and rejects a block's
+        low bytes in C.  The stream is left where the draws would leave it.
+        """
+        if count == 0:
+            return bytearray()
         table, delete, keep = _byte_filter(base, span)
         drawn = bytearray()
         while True:
@@ -160,9 +183,7 @@ class SplitMix64:
             self._hold(raw)
         del self._block[-enough:]
         drawn += accepted[:need]
-        if base == lo:
-            return list(drawn)
-        return list(map(lo.__add__, drawn))
+        return drawn
 
 
 class GeneratorSpec(namedtuple("GeneratorSpec", "kind node_count weight_range seed weights")):
@@ -294,12 +315,19 @@ def _build_equal_weights(graph, names, rng, weights, next_weight):
     # Random tree plus occasional extra forward edges, one shared weight.
     # Every forward pair that is not a tree edge, row by row, draws a flip of
     # randint(0, 3), and a 0 links it; the tree's n - 1 edges are all forward.
+    # The flips stay bytes: one translate turns them into 1/0 link flags, and
+    # compress reads a row's slice of them against its free targets.
     _build_sparse_tree(graph, names, rng, weights, next_weight)
-    links = map((0).__eq__, rng.randints(0, 3, (len(names) - 1) * (len(names) - 2) // 2))
+    flips = rng._draw_bytes(0, 4, (len(names) - 1) * (len(names) - 2) // 2)
+    links = flips.translate(_LINK_FLAGS)
+    w, end = next_weight(), 0
     for i, a in enumerate(names):
-        # compress reads one flip per free target, so each row reads its own.
-        linked = list(compress(filterfalse(graph[a].__contains__, names[i + 1 :]), links))
-        graph[a].update(zip(linked, weights(len(linked))))
+        adjacency = graph[a]
+        free = list(names[i + 1 :])
+        for child in adjacency:  # the row's tree children, few and all forward
+            free.remove(child)
+        start, end = end, end + len(free)
+        adjacency.update(zip(compress(free, links[start:end]), repeat(w)))
 
 
 def _build_grid(graph, names, rng, weights, next_weight):

@@ -55,7 +55,20 @@ def test_splitmix64_empty_range_is_an_error():
         rng.randint(5, 4)
     with pytest.raises(ValueError, match="empty range"):
         rng.randints(5, 4, 3)
-    assert rng.randints(5, 4, 0) == []
+    # At any count, a count of 0 included.
+    with pytest.raises(ValueError, match=r"^empty range: randints\(5, 1, 0\)$"):
+        rng.randints(5, 1, 0)
+    assert rng.next_u64() == SplitMix64(123).next_u64()
+
+
+@pytest.mark.parametrize("hi", (3, 2**70))
+@pytest.mark.parametrize("count", (-1, -5, 2.0, "3", None, True))
+def test_randints_refuses_a_count_that_is_not_a_non_negative_int(count, hi):
+    rng = SplitMix64(123)
+    message = f"^count must be a non-negative integer, got {re.escape(repr(count))}$"
+    with pytest.raises(ValueError, match=message):
+        rng.randints(0, hi, count)
+    assert rng.next_u64() == SplitMix64(123).next_u64()
 
 
 def _mix_words_shifting_32(state):
@@ -129,6 +142,54 @@ class _ScalarSplitMix64:
 
 
 STREAM_SEEDS = (0, 1, 2**63, 2**64 - 1)
+
+
+def _equal_weights_by_flips(graph, names, rng, weights, next_weight):
+    """The equal_weights rule one flip at a time, as the builder once ran it:
+    a random tree, then, row by row, one ``randint(0, 3)`` per forward pair
+    that is not a tree edge, where a 0 links the pair."""
+    generators._build_sparse_tree(graph, names, rng, weights, next_weight)
+    for i, a in enumerate(names):
+        linked = [b for b in names[i + 1 :] if b not in graph[a] and rng.randint(0, 3) == 0]
+        graph[a].update(zip(linked, weights(len(linked))))
+
+
+def _in_key_order(graph):
+    return [(node, list(adjacency.items())) for node, adjacency in graph.items()]
+
+
+@given(st.integers(2, 60), st.integers(0, 2**64 - 1), st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+@also_on_python_rules
+def test_equal_weights_links_what_one_flip_at_a_time_links(node_count, seed, weight):
+    names = generators._node_names(node_count)
+    reference = {name: {} for name in names}
+    weights, next_weight = (lambda count: [weight] * count), (lambda: weight)
+    _equal_weights_by_flips(reference, names, SplitMix64(seed), weights, next_weight)
+    spec = GeneratorSpec("equal_weights", node_count, (weight, weight + 3), seed)
+    assert _in_key_order(generate(spec)) == _in_key_order(reference)
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 600),
+    st.integers(0, 255),
+    st.integers(1, 255),
+    st.integers(0, 3000),
+)
+@settings(max_examples=100, deadline=None)
+@also_on_python_rules
+def test_byte_draw_is_randints(seed, read_first, base, span, count):
+    rng, other, reference = SplitMix64(seed), SplitMix64(seed), _ScalarSplitMix64(seed)
+    for _ in range(read_first):
+        assert rng.next_u64() == other.next_u64() == reference.next_u64()
+    drawn = rng._draw_bytes(base, span, count)
+    assert type(drawn) is bytearray
+    # Where base + span - 1 passes 255, randints adds base to offsets drawn from 0.
+    values = other.randints(base, base + span - 1, count)
+    assert values == [reference.randint(base, base + span - 1) for _ in range(count)]
+    assert list(drawn) == [value & 0xFF for value in values]
+    assert rng.next_u64() == other.next_u64() == reference.next_u64()
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
@@ -237,6 +298,26 @@ def test_generated_bytes_are_pinned():
 @also_on_python_rules
 def test_benchmark_sized_bytes_are_pinned():
     assert cross_check.benchmark_sized_digest() == cross_check.BENCHMARK_SIZED_DIGEST
+
+
+@also_on_python_rules
+def test_generated_key_order_is_pinned():
+    assert cross_check.order_digest() == cross_check.ORDER_DIGEST
+
+
+def test_order_digest_sees_what_the_bytes_do_not(monkeypatch):
+    # The kernel relaxes a node's edges in insertion order; emit_graph sorts.
+    build, minimum, edge_count = generators._KINDS["equal_weights"]
+
+    def build_reversed(graph, *args):
+        build(graph, *args)
+        for node, adjacency in graph.items():
+            graph[node] = dict(reversed(adjacency.items()))
+
+    entry = (build_reversed, minimum, edge_count)
+    monkeypatch.setitem(generators._KINDS, "equal_weights", entry)
+    assert cross_check.golden_digest() == cross_check.GOLDEN_DIGEST
+    assert cross_check.order_digest() != cross_check.ORDER_DIGEST
 
 
 def test_cross_check_fails_on_other_bytes(monkeypatch, capsys):

@@ -15,7 +15,9 @@ It puts this checkout's ``src/`` on the import path and checks:
 3. ``WeightDomain`` accepts the infinities whose binary64 image is +inf,
    one whose ``==`` answers only floats among them, and rejects the others.
 4. ``golden_digest`` and ``benchmark_sized_digest``, the sha256 of the
-   generated graphs as ``emit_graph`` writes them, equal their pins.
+   generated graphs as ``emit_graph`` writes them, and ``order_digest``,
+   the sha256 of the same graphs' ``repr``, which has every adjacency in
+   insertion order, equal their pins.
 5. All six comparisons of ``INFINITY`` with each number of ``OPERANDS``,
    in both orders, equal the IEEE comparison of the binary64 images; a
    non-number makes ``<``, ``<=``, ``>`` and ``>=`` raise ``TypeError`` and
@@ -55,7 +57,7 @@ It puts this checkout's ``src/`` on the import path and checks:
    reports, per state, the block's first output in hex, and per refused
    value the exception raised; null where the extension did not load.
 
-``MESSAGES`` and the two digest pins live here only; ``tests/`` reads them
+``MESSAGES`` and the three digest pins live here only; ``tests/`` reads them
 from this module and checks the same things under pytest.  Each failed check
 prints one line, and the last line of output is a JSON summary; the exit
 status is 0 only when every check passed.
@@ -290,38 +292,60 @@ BENCHMARK_SIZES = (
 
 GOLDEN_DIGEST = "c3c7ff7f06d032bb4deba166cdb4cb3016bbecc89d149fdf6cbeff490db2d8f9"
 BENCHMARK_SIZED_DIGEST = "9d717b1a8e408f0136c78495d85294da1903405d91394a087d08c565927bad12"
+ORDER_DIGEST = "6ff21153680282ed2b363c78f89fdaa9c685ca4d9dac0976ae9e75dd1fff92fb"
 
 
-def golden_digest():
-    """sha256 of every kind at small sizes and 100 nodes, four seeds and two
-    weight ranges each, then of the explicit-weight kinds."""
+def golden_specs():
+    """Every kind at small sizes and 100 nodes, four seeds and two weight
+    ranges each, then the explicit-weight kinds."""
     sizes = {"grid": (4, 9, 16, 25), "worst_case_tie": (4, 6, 9, 13)}
-    digest = hashlib.sha256()
     for kind in KINDS:
         for node_count in sizes.get(kind, (4, 5, 8, 12)) + (100,):
             for seed in (0, 7, 2**63, 2**64 - 1):
                 for weight_range in ((1, 10), (3, 1000)):
-                    spec = GeneratorSpec(kind, node_count, weight_range, seed)
-                    digest.update(emit_graph(generate(spec)).encode())
+                    yield GeneratorSpec(kind, node_count, weight_range, seed)
     for kind, weights in (
         ("linear_chain", (0, 2.5, 7)),
         ("star", (1, 0.5, 2**53)),
         ("cycle", (3, 0, 1.25, 9)),
     ):
-        spec = GeneratorSpec(kind, len(weights) + (kind != "cycle"), weights=weights)
-        digest.update(emit_graph(generate(spec)).encode())
+        yield GeneratorSpec(kind, len(weights) + (kind != "cycle"), weights=weights)
+
+
+def benchmark_specs():
+    """The benchmark's generated kinds and sizes, and the largest grid, at
+    three seeds each."""
+    for kind, node_count in BENCHMARK_SIZES:
+        for seed in (0, 12345, 2**64 - 1):
+            yield GeneratorSpec(kind, node_count, seed=seed)
+
+
+def _sha256(texts):
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(text.encode())
     return digest.hexdigest()
+
+
+def golden_digest():
+    """sha256 of the golden specs' graphs as ``emit_graph`` writes them."""
+    return _sha256(emit_graph(generate(spec)) for spec in golden_specs())
 
 
 def benchmark_sized_digest():
-    """sha256 of the benchmark's generated kinds and sizes, and of the largest
-    grid, at three seeds each."""
-    digest = hashlib.sha256()
-    for kind, node_count in BENCHMARK_SIZES:
-        for seed in (0, 12345, 2**64 - 1):
-            spec = GeneratorSpec(kind, node_count, seed=seed)
-            digest.update(emit_graph(generate(spec)).encode())
-    return digest.hexdigest()
+    """sha256 of the benchmark-sized graphs as ``emit_graph`` writes them."""
+    return _sha256(emit_graph(generate(spec)) for spec in benchmark_specs())
+
+
+def order_digest():
+    """sha256 of the ``repr`` of every golden and benchmark-sized graph.
+
+    ``emit_graph`` sorts each adjacency's targets, so neither digest above
+    sees a builder that inserts them in another order; a dict's ``repr``
+    lists its keys in insertion order, which is the order the kernel relaxes
+    a node's edges in."""
+    specs = itertools.chain(golden_specs(), benchmark_specs())
+    return _sha256(repr(generate(spec)) for spec in specs)
 
 
 def search_problems(graph_id, graph, sources):
@@ -606,9 +630,10 @@ def digest_problems():
     for name, digest, pinned in (
         ("GOLDEN_DIGEST", golden_digest(), GOLDEN_DIGEST),
         ("BENCHMARK_SIZED_DIGEST", benchmark_sized_digest(), BENCHMARK_SIZED_DIGEST),
+        ("ORDER_DIGEST", order_digest(), ORDER_DIGEST),
     ):
         if digest != pinned:
-            problems.append(f"generated bytes hash to {digest}, {name} pins {pinned}")
+            problems.append(f"generated graphs hash to {digest}, {name} pins {pinned}")
     return problems
 
 
