@@ -1,7 +1,7 @@
 /* The comparisons and hash of extinf's INFINITY, the conversion of a
-   search's distance map to weights, two checks of plain graphs, a decoder
-   of plain graph documents and the mixing of a block of SplitMix64
-   outputs, answered in C.
+   search's distance map to weights, a check of plain graphs, a decoder of
+   plain graph documents and the mixing of a block of SplitMix64 outputs,
+   answered in C.
 
    weights._Infinity lists AbsInf as its first base, so CPython installs
    these slots on it directly: comparing with INFINITY makes no Python-level
@@ -27,11 +27,10 @@
    converts the map and words the error.
 
    plain_graph(graph) is True only when graphs.validate(graph) would find
-   nothing, and plain_weights(graph) only when emit_graph's weight loop
-   would find nothing; False means "look closer", and the Python loop words
-   every problem.  Like from_search, both take exact types only (dict, str,
-   int, float), so no Python code runs inside them and nothing can change
-   under them.
+   nothing, and so emit_graph's weight loop too; False means "look closer",
+   and the Python loops word every problem.  Like from_search, it takes
+   exact types only (dict, str, int, float), so no Python code runs inside
+   it and nothing can change under it.
 
    parse_plain_graph(text) is the fast path of graphs.parse_graph, whose
    json.loads and checks hold the rules.  In one pass over an exact str of
@@ -415,27 +414,6 @@ done:
     return result;
 }
 
-/* True if every adjacency of graph is an exact dict and each of its weights
-   an exact int or float, whatever its value: emit_graph's loop then finds
-   nothing.  False otherwise. */
-static PyObject *
-plain_weights(PyObject *Py_UNUSED(module), PyObject *graph)
-{
-    PyObject *node, *neighbors, *target, *weight;
-    Py_ssize_t i = 0, j;
-    if (!PyDict_CheckExact(graph))
-        Py_RETURN_FALSE;
-    while (PyDict_Next(graph, &i, &node, &neighbors)) {
-        if (!PyDict_CheckExact(neighbors))
-            Py_RETURN_FALSE;
-        for (j = 0; PyDict_Next(neighbors, &j, &target, &weight);) {
-            if (!PyLong_CheckExact(weight) && !PyFloat_CheckExact(weight))
-                Py_RETURN_FALSE;
-        }
-    }
-    Py_RETURN_TRUE;
-}
-
 /* Read the offset of type's own _value slot into value_offset, once per
    type: 0, or -1 with TypeError if type has no such slot. */
 static int
@@ -572,9 +550,6 @@ static PyMethodDef absinf_functions[] = {
      "latin-1 characters holding an object of objects of unsigned numbers,\n"
      "with no escape, duplicate key, trailing data or dangling target: a\n"
      "graph plain_graph passes, each distinct id one str.  None means look closer."},
-    {"plain_weights", plain_weights, METH_O,
-     "plain_weights(graph) -> bool\n\nTrue only if graph and each adjacency are exact dicts and every\n"
-     "weight is an exact int or float.  False means look closer."},
     {"from_search", (PyCFunction)(void (*)(void))from_search, METH_FASTCALL,
      "from_search(finite_type, infinity_weight, distances, infinity) -> bool\n\n"
      "Convert a search's fresh distance map in place and return True: infinity\n"
@@ -600,7 +575,7 @@ static PyTypeObject AbsInf_Type = {
 
 static struct PyModuleDef absinf_module = {
     PyModuleDef_HEAD_INIT, "_absinf",
-    "The C comparisons of extinf's INFINITY, its search conversion, its graph checks,\n"
+    "The C comparisons of extinf's INFINITY, its search conversion, its graph check,\n"
     "its decoder of graph documents and its SplitMix64 mixing.", -1,
     absinf_functions, NULL, NULL, NULL, NULL,
 };

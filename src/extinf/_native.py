@@ -124,7 +124,6 @@ _absinf, FAILURE = load()
 # the module).  A rule's False or None means "look closer": Python decides.
 _TABLE = {
     ("extinf.graphs", "_plain_graph"): ("plain_graph", lambda graph: False),
-    ("extinf.graphs", "_plain_weights"): ("plain_weights", lambda graph: False),
     ("extinf.graphs", "_parse_plain"): ("parse_plain_graph", lambda text: None),
     ("extinf.shortest_path", "_from_search_in_c"): ("from_search", lambda *args: False),
     ("extinf.generators", "_splitmix_block"): ("splitmix_block", "_mix_words"),

@@ -23,10 +23,8 @@ the first ``parse_graph`` of a text that the C decoder below refuses.
 
 Before those loops run, the C extension (``_absinf.c``) checks a plain graph
 in one pass: ``_plain_graph(graph)`` is True only when ``validate(graph)``
-would find nothing; then ``validate`` skips its loop.  ``emit_graph`` only needs every
-weight to be a number, so it asks the lighter ``_plain_weights(graph)``,
-which tests the weights' exact types and looks up no target.  False means
-"look closer": the loops run and word every problem.
+would find nothing, and then ``validate`` and ``emit_graph`` skip their
+loops.  False means "look closer": the loops run and word every problem.
 
 ``parse_graph`` first hands its text to ``_parse_plain(text)``, which
 decodes a plain document in one C pass: an exact ``str`` of latin-1
@@ -61,7 +59,6 @@ __all__ = [
 
 
 _plain_graph = _native.bind(__name__, "_plain_graph")
-_plain_weights = _native.bind(__name__, "_plain_weights")
 _parse_plain = _native.bind(__name__, "_parse_plain")
 
 
@@ -208,7 +205,7 @@ def emit_graph(graph: dict) -> str:
     keys = encode(dict.fromkeys(nodes, 0))[1:-2].split("0,\n  ")
     key = _KeyTexts(encode, ((n, k) for n, k in zip(nodes, keys) if type(n) is str)).__getitem__
     number = _NumberTexts(encode).__getitem__
-    if not _plain_weights(graph):
+    if not _plain_graph(graph):
         # Before any lookup, or an equal weight already in the number table
         # would stand in for a Fraction or a Decimal.
         for neighbors in graph.values():

@@ -1,6 +1,5 @@
 """Graph model, JSON format, validation, and the bundled fixtures."""
 
-import enum
 import json
 import math
 import re
@@ -15,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cross_check
+from cross_check import _Dict, _Level, _Str
 from conftest import also_on_python_rules, needs_c, small_graphs
 from extinf import _native, graphs
 from extinf.fixtures import (
@@ -260,10 +260,6 @@ class TestValidate:
 
     def test_non_string_edge_target(self):
         assert validate({"A": {1: 2}}) == ["edge target of node 'A' must be a string, got 1"]
-
-
-class _Level(enum.IntEnum):
-    ONE = 1
 
 
 class _Float(float):
@@ -512,14 +508,6 @@ def test_count_edges():
     assert count_edges({}) == 0
 
 
-class _Str(str):
-    pass
-
-
-class _Dict(dict):
-    pass
-
-
 _plain_ids = st.sampled_from("ABC")
 _any_ids = st.one_of(_plain_ids, _plain_ids.map(_Str), st.integers(0, 2))
 # Closed or not, with plain ids and weights: the graphs the C check passes.
@@ -694,8 +682,8 @@ _parse_texts = st.one_of(
 
 
 class TestPlainCheck:
-    """The C checks of plain graphs and of weight types and the C decoder
-    change no answer, and plain graphs and their texts take them."""
+    """The C check of plain graphs and the C decoder change no answer, and
+    plain graphs and their texts take them."""
 
     @given(_any_graphs)
     @settings(max_examples=300)
@@ -785,24 +773,9 @@ class TestPlainCheck:
         assert "validate(missing target) changed with the C check on" in problems
         # The C decoder refuses a minus sign, so json.loads and validate decide.
         assert "parse_graph(-1) changed with the C check on" in problems
-        assert "plain_graph(IntEnum weight) said True, the loop found []" in problems
-
-    @needs_c
-    def test_emit_graph_needs_only_number_weights(self, monkeypatch):
-        # A dangling target fails validate, not emit_graph's loop.
-        monkeypatch.setattr(graphs, "isinstance", _loop_ran, raising=False)
-        text = emit_graph({"A": {"C": 1, "B": 0.5}, "B": {}})
-        assert text == '{\n  "A": {\n    "B": 0.5,\n    "C": 1\n  },\n  "B": {}\n}\n'
-
-    def test_cross_check_weights_table_catches_a_wrong_answer(self, monkeypatch):
-        assert cross_check.plain_weights_problems()[0] == []
-        monkeypatch.setattr(graphs, "_plain_weights", lambda graph: True)
-        problems, answers = cross_check.plain_weights_problems()
-        assert set(answers.values()) == ({True} if cross_check.NATIVE else {None})
         # An equal entry in the number table would write a Fraction as "2".
         assert "emit_graph(Fraction weight) changed with the C check on" in problems
-        assert "plain_weights(Fraction weight) said True, emit_graph's loop raised" in problems
-        assert not any(p.startswith("plain_weights(missing target)") for p in problems)
+        assert "plain_graph(IntEnum weight) said True, the loop found []" in problems
 
     @needs_c
     def test_bundled_generated_and_emitted_graphs_take_it(self, monkeypatch):

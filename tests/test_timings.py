@@ -12,28 +12,34 @@ from timings import BASELINE, CANDIDATE
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_each_round_reads_the_reference_once_then_alternates_the_order(monkeypatch):
-    log, readings = [], [0.25, 1.0, 0.5, 2.0]
+def test_each_row_is_scaled_by_the_readings_on_either_side(monkeypatch):
+    log, readings = [], [0.25, 1.0, 0.5, 2.0, 4.0, 0.125, 8.0, 0.75, 1.5, 3.0, 0.375, 6.0]
     next_reading = iter(readings).__next__
-    monkeypatch.setattr(timings, "reference_ms", lambda: log.append("reference") or next_reading())
+    monkeypatch.setattr(timings, "reference_ms", lambda: log.append("ref") or next_reading())
     monkeypatch.setattr(timings, "BUDGET_S", 1e-4)
 
-    def recorder(label):
+    def recorder(name):
         def call():  # logs a run of calls to one cell once
-            if log[-1:] != [label]:
-                log.append(label)
+            if log[-1:] != [name]:
+                log.append(name)
 
         return call
 
-    cells = [(label, recorder(label)) for label in "abc"]
-    reference, samples = timings.measure(cells, rounds=len(readings))
-    sizing, forward, backward = list("abc"), ["reference", *"abc"], ["reference", *"cba"]
-    assert log == sizing + forward + backward + forward + backward
+    # Two rows: a pair of arms, then a cell on its own.
+    names = ("r1x", "r1y", "r2x")
+    cells = [(("group", name[:2], name[2]), recorder(name)) for name in names]
+    reference, samples = timings.measure(cells, 0.5, rounds=4)
+    forward = ["ref", "r1x", "r1y", "ref", "r2x", "ref"]
+    backward = ["ref", "r2x", "ref", "r1y", "r1x", "ref"]
+    assert log == list(names) + forward + backward + forward + backward
     assert reference == readings
-    for ways in samples.values():
-        assert len(ways["raw"]) == len(readings)
-        for raw, scaled, reading in zip(ways["raw"], ways["scaled"], readings):
-            assert scaled == raw * 0.5 / reading
+    # Round r reads readings[3 * r:3 * r + 3]: before its first row, then
+    # after each row.
+    brackets = {"r1": ((0, 1), (4, 5), (6, 7), (10, 11)), "r2": ((1, 2), (3, 4), (7, 8), (9, 10))}
+    for (_, row, _), ways in samples.items():
+        assert len(ways["raw"]) == 4
+        for raw, scaled, (a, b) in zip(ways["raw"], ways["scaled"], brackets[row]):
+            assert scaled == raw * 2 * 0.5 / (readings[a] + readings[b])
 
 
 def test_a_slow_first_call_does_not_size_the_timer():
@@ -87,6 +93,7 @@ def test_readme_tables_are_the_rows_of_the_checked_in_runs():
     rendered = []
     for key, report in runs.items():
         assert key == f"{report['python']}/{report['sentinel_comparisons']}"
+        assert report["nominal_ref_ms"] == timings.nominal_ref_ms()
         rendered += timings.rows(report)
     assert [row for row in rendered if row not in readme] == []
     run_rows = [line for line in readme if re.match(r"\| 3\.\d+\.\d+ \|", line)]

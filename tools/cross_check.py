@@ -26,18 +26,17 @@ It puts this checkout's ``src/`` on the import path and checks:
    C ones did not load, if they did not.
 6. For each graph of ``PLAIN_GRAPHS``, the C check of plain graphs says True
    exactly when every type in the graph is exact and ``validate``'s Python
-   loop finds nothing, and the C check of weight types exactly when the
-   graph, its adjacencies and its weights are of exact types.  ``validate``,
-   ``emit_graph`` and, where ``json.dumps`` takes the graph, ``parse_graph``
-   of its text give the same answer (a graph with its key order, types and
-   target identity), or exception and message, and the same warnings as
-   under ``python_rules``, which puts the Python rules of ``_native``'s table
-   in place: the loops alone.  For each text of ``PLAIN_TEXTS``, the C
-   decoder of plain documents decodes exactly the texts the table marks,
-   each to a graph the C check of plain graphs passes, and ``parse_graph``
-   gives the same outcome and warnings as under ``python_rules``.  The
-   summary reports each check's answer per graph and whether the decoder
-   took each text, null where the extension did not load.
+   loop finds nothing.  ``validate``, ``emit_graph`` and, where
+   ``json.dumps`` takes the graph, ``parse_graph`` of its text give the
+   same answer (a graph with its key order, types and target identity), or
+   exception and message, and the same warnings as under ``python_rules``,
+   which puts the Python rules of ``_native``'s table in place: the loops
+   alone.  For each text of ``PLAIN_TEXTS``, the C decoder of plain
+   documents decodes exactly the texts the table marks, each to a graph
+   the C check of plain graphs passes, and ``parse_graph`` gives the same
+   outcome and warnings as under ``python_rules``.  The summary reports the
+   check's answer per graph and whether the decoder took each text, null
+   where the extension did not load.
 7. ``compare`` and ``add`` over every pair of the weights in ``OPERANDS``
    give the IEEE order and sum of their binary64 images, a sum of +inf
    being ``INFINITY`` itself.
@@ -174,38 +173,37 @@ def _edge(weight, node="A", target="B", adjacency=dict):
     return {node: adjacency({target: weight}), "B": {}}
 
 
-# (label, graph, whether every type in it is exact, whether the graph and its
-# adjacencies are exact dicts and its weights exact ints and floats) for the C
-# checks of plain graphs and of weight types: the weights on either side of
-# each bound, then every way a graph can leave the exact types or the rules.
+# (label, graph, whether every type in it is exact) for the C check of plain
+# graphs: the weights on either side of each bound, then every way a graph
+# can leave the exact types or the rules.
 PLAIN_GRAPHS = (
-    ("2**1024-2**970-1", _edge(_ROUNDS_TO_INF - 1), True, True),
-    ("2**1024-2**970", _edge(_ROUNDS_TO_INF), True, True),
-    ("10**400", _edge(10**400), True, True),
-    ("-10**400", _edge(-(10**400)), True, True),
-    ("0", _edge(0), True, True),
-    ("-1", _edge(-1), True, True),
-    ("0.0", _edge(0.0), True, True),
-    ("-0.0", _edge(-0.0), True, True),
-    ("5e-324", _edge(5e-324), True, True),
-    ("max float", _edge(_MAX), True, True),
-    ("nan", _edge(math.nan), True, True),
-    ("inf", _edge(math.inf), True, True),
-    ("-inf", _edge(-math.inf), True, True),
-    ("INFINITY", _edge(INFINITY), False, False),
-    ("True", _edge(True), False, False),
-    ("IntEnum weight", _edge(_Level.ONE), False, False),
-    ("float subclass weight", _edge(_Float(2.0)), False, False),
-    ("Fraction weight", _edge(Fraction(2)), False, False),
-    ("str subclass id", _edge(1, node=_Str("A")), False, True),
-    ("str subclass target", _edge(1, target=_Str("B")), False, True),
-    ("dict subclass adjacency", _edge(1, adjacency=_Dict), False, False),
-    ("non-dict adjacency", {"A": [("B", 1)], "B": {}}, False, False),
-    ("non-str target", _edge(1, target=1), True, True),
-    ("missing target", _edge(1, target="C"), True, True),
-    ("non-dict graph", [("A", {})], False, False),
-    ("empty graph", {}, True, True),
-    ("no edges", {"A": {}}, True, True),
+    ("2**1024-2**970-1", _edge(_ROUNDS_TO_INF - 1), True),
+    ("2**1024-2**970", _edge(_ROUNDS_TO_INF), True),
+    ("10**400", _edge(10**400), True),
+    ("-10**400", _edge(-(10**400)), True),
+    ("0", _edge(0), True),
+    ("-1", _edge(-1), True),
+    ("0.0", _edge(0.0), True),
+    ("-0.0", _edge(-0.0), True),
+    ("5e-324", _edge(5e-324), True),
+    ("max float", _edge(_MAX), True),
+    ("nan", _edge(math.nan), True),
+    ("inf", _edge(math.inf), True),
+    ("-inf", _edge(-math.inf), True),
+    ("INFINITY", _edge(INFINITY), False),
+    ("True", _edge(True), False),
+    ("IntEnum weight", _edge(_Level.ONE), False),
+    ("float subclass weight", _edge(_Float(2.0)), False),
+    ("Fraction weight", _edge(Fraction(2)), False),
+    ("str subclass id", _edge(1, node=_Str("A")), False),
+    ("str subclass target", _edge(1, target=_Str("B")), False),
+    ("dict subclass adjacency", _edge(1, adjacency=_Dict), False),
+    ("non-dict adjacency", {"A": [("B", 1)], "B": {}}, False),
+    ("non-str target", _edge(1, target=1), True),
+    ("missing target", _edge(1, target="C"), True),
+    ("non-dict graph", [("A", {})], False),
+    ("empty graph", {}, True),
+    ("no edges", {"A": {}}, True),
 )
 
 # (label, text, whether the C decoder of plain documents takes it): one
@@ -511,33 +509,20 @@ def plain_graph_problems():
     """The problems of the C check of plain graphs, and its answer per graph
     (None without the extension, whose rule says False to every graph)."""
     answers, problems = {}, []
-    for label, graph, exact, _ in PLAIN_GRAPHS:
+    for label, graph, exact in PLAIN_GRAPHS:
         with _native.python_rules():  # the Python loops alone
-            loop, parsed = validate(graph), parse_outcome(graph)
+            loop, emitted = validate(graph), _outcome(emit_graph, graph)
+            parsed = parse_outcome(graph)
         if validate(graph) != loop:
             problems.append(f"validate({label}) changed with the C check on")
+        if _outcome(emit_graph, graph) != emitted:
+            problems.append(f"emit_graph({label}) changed with the C check on")
         if parse_outcome(graph) != parsed:
             problems.append(f"parse_graph({label}) changed with the C check on")
         answer = graphs._plain_graph(graph)
         answers[label] = answer if NATIVE else None
         if answer is not (exact and not loop) and (NATIVE or answer is not False):
             problems.append(f"plain_graph({label}) said {answer!r}, the loop found {loop!r}")
-    return problems, answers
-
-
-def plain_weights_problems():
-    """The problems of the C check of weight types, and its answer per graph
-    (None without the extension, whose rule says False to every graph)."""
-    answers, problems = {}, []
-    for label, graph, _, exact_weights in PLAIN_GRAPHS:
-        with _native.python_rules():  # emit_graph's Python loop alone
-            loop = _outcome(emit_graph, graph)
-        if _outcome(emit_graph, graph) != loop:
-            problems.append(f"emit_graph({label}) changed with the C check on")
-        answer = graphs._plain_weights(graph)
-        answers[label] = answer if NATIVE else None
-        if answer is not exact_weights and (NATIVE or answer is not False):
-            problems.append(f"plain_weights({label}) said {answer!r}, emit_graph's loop {loop[0]}")
     return problems, answers
 
 
@@ -653,11 +638,10 @@ def main():
     problems += message_problems() + domain_problems() + digest_problems() + operator_problems()
     problems += weight_function_problems()
     plain_problems, plain_answers = plain_graph_problems()
-    weights_problems, weights_answers = plain_weights_problems()
     texts_problems, texts_answers = plain_texts_problems()
     conversion_problems, conversion_answers = from_search_problems()
     splitmix_found, splitmix_answers = splitmix_problems()
-    problems += plain_problems + weights_problems + texts_problems
+    problems += plain_problems + texts_problems
     problems += conversion_problems + splitmix_found
     for problem in problems:
         print(problem)
@@ -670,7 +654,6 @@ def main():
                 "sentinel_comparisons": SENTINEL_COMPARISONS,
                 "native_failure": NATIVE_FAILURE,
                 "plain_graphs": plain_answers,
-                "plain_weights": weights_answers,
                 "plain_texts": texts_answers,
                 "from_search": conversion_answers,
                 "splitmix": splitmix_answers,

@@ -20,15 +20,20 @@ times three groups of cells, each a labelled zero-argument callable:
 
 Each cell's call count is sized once, from the fastest of three calls, to
 fill about ``BUDGET_S``, and ``timeit`` runs the calls with the garbage
-collector off.  Then each of ``ROUNDS`` rounds reads
-``perfbench/refspeed.reference_ms()`` once and times every cell, in list
+collector off.  Then each of ``ROUNDS`` rounds times every cell, in list
 order on even rounds and reversed on odd ones, so a drift in host speed
-lands on every cell alike and each pair of arms runs in both orders.  Each
-time is also scaled by ``NOMINAL_REF_MS`` over its round's reading, as
-``perfbench/run.py --ref-nominal-ms`` scales its own.  Reported: the median
-and quartiles over rounds of every cell's raw and scaled per-call ms, and,
-for each pair of arms, of the sentinel's time less the IEEE one's
-(``extra``, operators) or over it (``ratio``, kernel) in the same round.
+lands on every cell alike and each pair of arms runs in both orders.  A
+row of cells (the two arms of a pair, or the three cells of a graph) is
+bracketed by readings of ``perfbench/refspeed.reference_ms()``, and its
+times are scaled by ``nominal_ref_ms()``, the ``--ref-nominal-ms`` of
+``BENCHMARK.json``'s command, over the mean of the two, as
+``perfbench/run.py`` scales its own.  So the scaling follows the host's
+speed from row to row, and a pair's two arms share one factor, which
+leaves their ratio the raw one.  Reported: the median and quartiles of the
+reference readings, and over rounds of every cell's raw and scaled
+per-call ms, and, for each pair of arms, of the sentinel's time less the
+IEEE one's (``extra``, operators) or over it (``ratio``, kernel) in the
+same round.
 
 It checks nothing: ``tools/cross_check.py`` checks the operators, the
 generated bytes and the parse, and every ``perfbench/run.py`` run checks both
@@ -40,6 +45,7 @@ was not, or null.  ``BENCH_timings.json`` holds one such report per
 interpreter and implementation.
 """
 
+import itertools
 import json
 import operator
 import platform
@@ -64,7 +70,6 @@ GENERATION_SEED = 12345
 ROUNDS = 31
 BUDGET_S = 0.01  # the time one measurement of a cell aims to fill
 OPERATIONS = 10**6  # per operator call, so its ms per call read as ns per operation
-NOMINAL_REF_MS = 0.5  # the --ref-nominal-ms of BENCHMARK.json's command
 BASELINE, CANDIDATE = DOMAINS  # the arms' names, IEEE's first
 
 # (label, sentinel statement, IEEE statement): the four operator uses of a
@@ -125,18 +130,32 @@ def _timer(call):
     return lambda: timer.timeit(number) / number * 1e3
 
 
-def measure(cells, rounds=ROUNDS):
-    """The reference readings, and each cell's raw and scaled per-call ms,
-    one of each per round."""
+def nominal_ref_ms():
+    """The --ref-nominal-ms of BENCHMARK.json's command."""
+    command = json.loads((ROOT / "BENCHMARK.json").read_text())["command"]
+    return float(command[command.index("--ref-nominal-ms") + 1])
+
+
+def measure(cells, nominal_ms, rounds=ROUNDS):
+    """The reference readings, one before each round and one after each row,
+    and each cell's raw per-call ms and its ms at nominal_ms reference speed,
+    one of each per round.
+
+    A row is a run of cells whose labels share group and row."""
     timers = [(label, _timer(call)) for label, call in cells]
+    rows = [list(row) for _, row in itertools.groupby(timers, key=lambda cell: cell[0][:2])]
     reference, samples = [], {label: {"raw": [], "scaled": []} for label, _ in cells}
     for r in range(rounds):
-        reading = reference_ms()
-        reference.append(reading)
-        for label, timer in timers if r % 2 == 0 else timers[::-1]:
-            ms = timer()
-            samples[label]["raw"].append(ms)
-            samples[label]["scaled"].append(ms * NOMINAL_REF_MS / reading)
+        before = reference_ms()
+        reference.append(before)
+        for row in rows if r % 2 == 0 else [row[::-1] for row in reversed(rows)]:
+            times = [(label, timer()) for label, timer in row]
+            after = reference_ms()
+            reference.append(after)
+            for label, ms in times:
+                samples[label]["raw"].append(ms)
+                samples[label]["scaled"].append(ms * 2 * nominal_ms / (before + after))
+            before = after
     return reference, samples
 
 
@@ -182,6 +201,7 @@ def rows(report):
 
 
 def main():
+    nominal_ms = nominal_ref_ms()
     report = {
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -190,8 +210,8 @@ def main():
         "rounds": ROUNDS,
         "kernel_seed": KERNEL_SEED,
         "generation_seed": GENERATION_SEED,
-        "nominal_ref_ms": NOMINAL_REF_MS,
-        **summary(*measure(make_cells())),
+        "nominal_ref_ms": nominal_ms,
+        **summary(*measure(make_cells(), nominal_ms)),
     }
     print(*rows(report), json.dumps(report), sep="\n")
     return 0
