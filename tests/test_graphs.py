@@ -773,9 +773,18 @@ class TestPlainCheck:
         assert "validate(missing target) changed with the C check on" in problems
         # The C decoder refuses a minus sign, so json.loads and validate decide.
         assert "parse_graph(-1) changed with the C check on" in problems
+        assert "plain_graph(IntEnum weight) said True, the loop found []" in problems
+
+    def test_cross_check_weights_table_catches_a_wrong_answer(self, monkeypatch):
+        # The weight rows alone: a check that took any weight type would
+        # send each of them past emit_graph's and validate's loops.
+        monkeypatch.setattr(graphs, "_plain_graph", lambda graph: True)
+        problems = cross_check.plain_graph_problems()[0]
         # An equal entry in the number table would write a Fraction as "2".
         assert "emit_graph(Fraction weight) changed with the C check on" in problems
-        assert "plain_graph(IntEnum weight) said True, the loop found []" in problems
+        assert "emit_graph(INFINITY) changed with the C check on" in problems
+        assert "validate(True) changed with the C check on" in problems
+        assert "plain_graph(float subclass weight) said True, the loop found []" in problems
 
     @needs_c
     def test_bundled_generated_and_emitted_graphs_take_it(self, monkeypatch):
